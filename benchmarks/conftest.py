@@ -20,10 +20,10 @@ from __future__ import annotations
 import os
 
 # Pin BLAS threading BEFORE numpy loads so every benchmark measures
-# single-threaded kernels: sharded-vs-single comparisons stay
-# apples-to-apples (our thread pool is the only parallelism) and CI timings
-# stop drifting with the runner's core count.  The CI workflow exports the
-# same variables at the job level as a belt-and-braces guarantee.
+# single-threaded kernels (the serving thread pool is the only parallelism)
+# and CI timings stop drifting with the runner's core count.  The CI
+# workflow exports the same variables at the job level as a belt-and-braces
+# guarantee.
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
     os.environ.setdefault(_var, "1")

@@ -1,19 +1,17 @@
-"""Optimizer pass pipeline — unoptimized vs optimized vs optimized+sharded.
+"""Optimizer pass pipeline — the oracle vs the default deployment.
 
 PR 1's engine beat the per-op fake-quant simulation by lowering to a
 compiled integer plan; this benchmark tracks the *second* act: the plan
-optimizer (GEMM-epilogue fusion, weight prepacking, im2col elimination,
-per-layer backend autotuning) and multicore sharded execution.  For each
-model the three execution modes run the same request stream; bit-exactness
-between all of them is asserted before any speed number is recorded, and
-``BENCH_optimizer.json`` is written at the repo root so future PRs can track
-the trajectory.
+optimizer (GEMM-epilogue fusion, im2col elimination, weight prepacking) and
+the tape executor with its autotuned kernel variants.  For each model the
+baseline is the real oracle configuration — the unoptimized plan,
+step-interpreted with int64 accumulation — and the candidate is the default
+deployment; both run the same request stream, bit-exactness between them is
+asserted before any speed number is recorded, and ``BENCH_optimizer.json``
+is written at the repo root so future PRs can track the trajectory.
 
-The speedup gate applies to the single-thread pass pipeline on MobileNet
-(the paper's headline network): ≥1.5x locally, relaxed via
-``OPT_BENCH_MIN_SPEEDUP`` on shared CI runners.  Sharded scaling is recorded
-but only asserted when the host actually has more than one core — BLAS
-releases the GIL, so the shards need real cores to overlap.
+The speedup gate applies to MobileNet (the paper's headline network):
+≥1.5x locally, relaxed via ``OPT_BENCH_MIN_SPEEDUP`` on shared CI runners.
 """
 
 from __future__ import annotations
@@ -25,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import deploy
 from repro.analysis import format_table
-from repro.engine import ShardedRunner, check_plan_parity, optimize_plan
-from repro.models import compile_registry_model
+from repro.engine import check_plan_parity
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_optimizer.json"
 
@@ -39,8 +37,13 @@ BATCHES = 5       # short sweeps ...
 SWEEPS = 12       # ... many times over: each mode gets many chances to catch
                   # a quiet scheduling window on a shared host, and best-of
                   # converges to true per-mode capability
-WORKERS = 4
 MIN_OPT_SPEEDUP = float(os.environ.get("OPT_BENCH_MIN_SPEEDUP", "1.5"))
+
+CANDIDATE = deploy.CompileConfig(
+    image_size=IMAGE_SIZE,
+    quant=deploy.QuantConfig(calibration_samples=16, calibration_batch_size=8),
+    runtime=deploy.RuntimeConfig(batch_size=BATCH_SIZE))
+ORACLE = CANDIDATE.with_overrides(optimize=False, accumulate="int", mode="steps")
 
 
 def _interleaved_rates(runs: dict, batches, repeats: int = SWEEPS) -> dict:
@@ -48,7 +51,7 @@ def _interleaved_rates(runs: dict, batches, repeats: int = SWEEPS) -> dict:
 
     Every individual engine call is timed and the per-mode minimum taken
     (``repeats * len(batches)`` samples each), with the modes' sweeps
-    interleaved (A B C, A B C, ...) rather than measured back to back.  On a
+    interleaved (A B, A B, ...) rather than measured back to back.  On a
     shared host this converges to each mode's true capability — a single
     quiet scheduling window per mode suffices — so the speedup *ratios*
     stay stable under load noise that would swamp aggregate-sweep timing.
@@ -66,73 +69,49 @@ def _interleaved_rates(runs: dict, batches, repeats: int = SWEEPS) -> dict:
     return {key: batches[0].shape[0] / elapsed for key, elapsed in best.items()}
 
 
-def test_optimizer_and_sharding(report_writer):
+def test_optimizer_speedup_over_oracle(report_writer):
     rng = np.random.default_rng(0)
     batches = [rng.standard_normal((BATCH_SIZE, 3, IMAGE_SIZE, IMAGE_SIZE))
                for _ in range(BATCHES)]
-    cores = os.cpu_count() or 1
     rows = []
     results = {}
+    deployments = {}
     for name in MODELS:
-        compiled = compile_registry_model(name, image_size=IMAGE_SIZE,
-                                          batch_size=BATCH_SIZE,
-                                          calibration_samples=16,
-                                          calibration_batch_size=8,
-                                          optimize=False)
-        baseline = compiled.engine
-        optimized_plan = optimize_plan(compiled.plan)
-        optimized = optimized_plan.bind((BATCH_SIZE, 3, IMAGE_SIZE, IMAGE_SIZE))
+        oracle = deploy.compile(name, ORACLE)
+        deployments[name] = optimized = deploy.compile(name, CANDIDATE)
 
-        parity = check_plan_parity(baseline, optimized, batches[:3])
+        parity = check_plan_parity(oracle.engine, optimized.engine, batches[:3])
         assert parity.bit_exact, f"{name}: optimized plan diverged: {parity}"
 
-        with ShardedRunner(optimized_plan, (BATCH_SIZE, 3, IMAGE_SIZE, IMAGE_SIZE),
-                           workers=WORKERS) as sharded:
-            sharded_parity = check_plan_parity(baseline, sharded, batches[:2])
-            assert sharded_parity.bit_exact, \
-                f"{name}: sharded execution diverged: {sharded_parity}"
-            rates = _interleaved_rates(
-                {"baseline": baseline.run, "optimized": optimized.run,
-                 "sharded": sharded.run}, batches)
-        base_rate = rates["baseline"]
-        opt_rate = rates["optimized"]
-        sharded_rate = rates["sharded"]
-
-        speedup = opt_rate / base_rate
-        scaling = sharded_rate / opt_rate
+        rates = _interleaved_rates({"oracle": oracle.run, "optimized": optimized.run},
+                                   batches)
+        speedup = rates["optimized"] / rates["oracle"]
         results[name] = {
-            "baseline_img_per_s": base_rate,
-            "optimized_img_per_s": opt_rate,
-            "sharded_img_per_s": sharded_rate,
+            "oracle_img_per_s": rates["oracle"],
+            "optimized_img_per_s": rates["optimized"],
             "optimizer_speedup": speedup,
-            "sharded_scaling": scaling,
-            "bit_exact": parity.bit_exact and sharded_parity.bit_exact,
-            "kernel_choices": dict(optimized_plan.kernel_choices or {}),
-            "optimizer_report": optimized_plan.report.to_dict(),
+            "bit_exact": parity.bit_exact,
+            "kernel_choices": dict(optimized.kernel_choices),
+            "optimizer_report": optimized.plan.report.to_dict(),
         }
-        rows.append([name, f"{base_rate:.0f}", f"{opt_rate:.0f}",
-                     f"{speedup:.2f}x", f"{sharded_rate:.0f}", f"{scaling:.2f}x"])
+        rows.append([name, f"{rates['oracle']:.0f}", f"{rates['optimized']:.0f}",
+                     f"{speedup:.2f}x"])
 
-    # Per-step profile of the headline model's optimized plan.
-    headline = compile_registry_model(HEADLINE, image_size=IMAGE_SIZE,
-                                      batch_size=BATCH_SIZE, calibration_samples=16,
-                                      calibration_batch_size=8)
-    profile = headline.engine.profile(batches[0], repeats=5)
+    # Per-instruction profile of the headline model's tape.
+    profile = deployments[HEADLINE].profile(batches[0], repeats=5)
 
     report_writer("engine_optimizer", format_table(
-        ["model", "baseline img/s", "optimized img/s", "speedup",
-         f"sharded x{WORKERS} img/s", "scaling"],
+        ["model", "oracle img/s", "optimized img/s", "speedup"],
         rows,
-        title=f"Optimizer pass pipeline + sharded execution — batch {BATCH_SIZE}, "
-              f"{IMAGE_SIZE}x{IMAGE_SIZE} inputs, {cores} core(s)",
+        title=f"Optimizer pass pipeline + tape vs the int64 step-interpreted oracle "
+              f"— batch {BATCH_SIZE}, {IMAGE_SIZE}x{IMAGE_SIZE} inputs",
     ) + "\n\n" + profile.table())
 
     payload = {
         "benchmark": "engine_optimizer",
         "image_size": IMAGE_SIZE,
         "batch_size": BATCH_SIZE,
-        "workers": WORKERS,
-        "cpu_count": cores,
+        "cpu_count": os.cpu_count() or 1,
         "blas_threads_pinned": os.environ.get("OPENBLAS_NUM_THREADS"),
         "models": results,
         "headline_profile": profile.to_dict(),
@@ -145,10 +124,3 @@ def test_optimizer_and_sharding(report_writer):
         f"optimizer pass pipeline is only {headline_speedup:.2f}x on {HEADLINE} "
         f"(required {MIN_OPT_SPEEDUP}x)"
     )
-    if cores > 1:
-        # Sharding can only overlap when real cores exist; on single-core
-        # hosts the numbers are recorded but thread overhead is not a failure.
-        assert results[HEADLINE]["sharded_scaling"] > 1.05, (
-            f"sharded execution shows no scaling on a {cores}-core host: "
-            f"{results[HEADLINE]['sharded_scaling']:.2f}x"
-        )

@@ -20,10 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro import deploy
 from repro.analysis import format_table
 from repro.autograd import Tensor, no_grad
 from repro.engine import BatchedRunner, check_engine_parity
-from repro.models import compile_registry_model
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_engine.json"
 
@@ -51,8 +51,8 @@ def _best_rate(fn, batches, repeats: int = 3) -> float:
 
 
 def test_engine_vs_simulation(benchmark, report_writer):
-    compiled = compile_registry_model(MODEL, image_size=IMAGE_SIZE, batch_size=BATCH_SIZE,
-                                      calibration_samples=16, calibration_batch_size=8)
+    compiled = deploy.compile(MODEL, image_size=IMAGE_SIZE, batch_size=BATCH_SIZE,
+                              calibration_samples=16, calibration_batch_size=8)
     graph = compiled.graph
     engine = compiled.engine
     rng = np.random.default_rng(0)

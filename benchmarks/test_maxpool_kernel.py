@@ -80,7 +80,7 @@ def test_maxpool_vectorization(report_writer):
     deployment = deploy.compile("vgg_nano", image_size=16, batch_size=8,
                                 calibration_samples=8, calibration_batch_size=8)
     profile = deployment.profile(repeats=5)
-    pool_share = sum(t.share for t in profile.steps if t.op == "maxpool")
+    pool_share = sum(t.share for t in profile.steps if t.op == "max_pool")
 
     report = format_table(
         ["case", "input", "pool", "before us", "after us", "speedup"],

@@ -7,7 +7,7 @@ serve run must cost the same as one with no telemetry argument at all.
 This benchmark measures three configurations of the same single-model
 real-execution serve — no telemetry, telemetry disabled, telemetry fully
 sampled — with interleaved best-of-N timing (the same noise discipline as
-``test_engine_overhead.py``) and gates the disabled-vs-baseline regression
+``test_engine_optimizer.py``) and gates the disabled-vs-baseline regression
 at ``TELEMETRY_OVERHEAD_MAX_PCT`` (default 2%).
 
 Emits ``BENCH_telemetry.json`` at the repo root;

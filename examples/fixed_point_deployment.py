@@ -11,15 +11,15 @@ deployment through the unified API:
 2. inspect the lowered plan: per-step listing plus the manifest rows a
    deployment target cares about (weight codes, shift scales, accumulator
    bounds, int32-MAC fit);
-3. show what the optimizer bought — unoptimized-vs-optimized throughput
-   with bit-exact parity — and the per-step profile;
+3. show what the optimizer bought — the oracle (unoptimized plan, int64
+   accumulation, step interpreter) against the optimized tape, with
+   bit-exact parity — and the profile of the tape the deployment runs;
 4. verify the whole network is bit-exact against the fake-quant simulation;
 5. ``deployment.save`` / ``Deployment.load`` — persist the plan artifact
    (prepacked weights + autotuned kernel choices, content-addressed) and
    reload it with *zero* re-lowering/re-optimization/re-profiling,
    bit-exact with the fresh compile;
-6. serve a request stream through ``deployment.runner()`` — including the
-   multicore ``workers=N`` sharded mode.
+6. serve a request stream through ``deployment.runner()``.
 
 Run with:  PYTHONPATH=src python examples/fixed_point_deployment.py
 (or just ``python examples/...`` after ``pip install -e .``)
@@ -72,14 +72,16 @@ def main() -> None:
 
     # ------------------------------------------------------------------ #
     # Optimizer pass pipeline: the deployment already went through it;
-    # bind the *unoptimized* plan too and show what the passes bought.
+    # bind the oracle too — the unoptimized plan, step-interpreted with
+    # int64 accumulation — and show what the passes and the tape bought.
     # ------------------------------------------------------------------ #
     batches = [rng.standard_normal((8, 3, 16, 16)) for _ in range(4)]
-    baseline = lower_graph(deployment.graph).bind((8, 3, 16, 16))
+    baseline = lower_graph(deployment.graph).bind((8, 3, 16, 16), accumulate="int",
+                                                  mode="steps")
     print(f"\nOptimizer pass log: {deployment.pass_log}")
     print(f"Autotuned kernel variants: {deployment.kernel_choices}")
     parity = check_plan_parity(baseline, deployment.engine, batches[:2])
-    print(f"Optimized-vs-unoptimized parity: {parity}")
+    print(f"Optimized-vs-oracle parity: {parity}")
 
     def rate(engine) -> float:
         engine.run(batches[0])
@@ -90,9 +92,9 @@ def main() -> None:
         return 10 * len(batches) * 8 / (time.perf_counter() - start)
 
     base_rate, opt_rate = rate(baseline), rate(deployment.engine)
-    print(f"Unoptimized plan: {base_rate:.0f} img/s — optimized plan: "
+    print(f"Oracle: {base_rate:.0f} img/s — optimized tape: "
           f"{opt_rate:.0f} img/s ({opt_rate / base_rate:.2f}x)")
-    print("\nPer-step profile of the optimized engine:")
+    print("\nPer-instruction profile of the tape the deployment runs:")
     print(deployment.profile(batches[0], repeats=5).table())
 
     # ------------------------------------------------------------------ #
@@ -124,7 +126,7 @@ def main() -> None:
               f"bit-exact with the fresh compile: {identical}")
 
     # ------------------------------------------------------------------ #
-    # Serving-style batched execution, single-engine and multicore-sharded.
+    # Serving-style batched execution.
     # ------------------------------------------------------------------ #
     runner = deployment.runner()
     requests = rng.standard_normal((100, 3, 16, 16))
@@ -137,13 +139,6 @@ def main() -> None:
     top1 = np.argmax(results[0].codes)
     print(f"First request predicted class {top1} "
           f"(codes are int8 logits at scale 2^-{deployment.output_meta.fraction}).")
-
-    with deployment.runner(workers=2) as sharded:
-        sharded_results, sharded_stats = sharded.run(requests)
-    identical = all(np.array_equal(a.codes, b.codes)
-                    for a, b in zip(results, sharded_results))
-    print(f"Sharded across 2 workers (BLAS releases the GIL): "
-          f"{sharded_stats.throughput_rps:.0f} req/s, codes identical: {identical}")
 
 
 if __name__ == "__main__":

@@ -120,7 +120,7 @@ def main() -> None:
         print(f"Warm fleet: {warm_stats['disk_hits']} models loaded from disk; "
               f"pipeline work beyond the preloaded deployment's compile: "
               f"optimizations={delta['optimizations'] - 1}, "
-              f"autotune_runs={delta['autotune_runs'] - 1} for "
+              f"autotune runs={delta['tape_autotune_runs'] - 1} for "
               f"{len(FLEET) - 1} fleet models\n")
 
     # ------------------------------------------------------------------ #

@@ -33,7 +33,7 @@ Sub-packages
 from . import autograd, nn, optim, quant, graph, engine, models, serving, data, training, analysis
 from . import deploy, faults, telemetry
 
-__version__ = "1.4.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "autograd",

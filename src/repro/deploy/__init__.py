@@ -9,7 +9,7 @@ persistable integer deployment::
                          deploy.CompileConfig(image_size=8,
                                               runtime=deploy.RuntimeConfig(batch_size=4)))
     out = dep.run(batch)                    # direct engine execution
-    results, stats = dep.runner(workers=2).run(requests)
+    results, stats = dep.runner().run(requests)
     server = dep.serve(deploy.ServeConfig(fleet=("lenet_nano",)))
 
     dep.save("mobilenet.rpa")               # persistent plan artifact

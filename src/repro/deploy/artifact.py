@@ -5,7 +5,7 @@ fresh process needs to serve a compiled model *without re-running any stage
 of the compile pipeline*:
 
 * ``plan.pkl`` — the (optimized) execution plan: lowered steps, weight
-  codes, prepacked GEMM layouts, and the autotuner's cached kernel choices;
+  codes, prepacked kernel layouts, and the autotuner's cached kernel choices;
 * ``manifest.json`` — format version, the plan's content fingerprint, the
   originating :class:`~repro.deploy.CompileConfig`, the optimizer pass log,
   the kernel-choice table, and a SHA-256 of the payload.
@@ -54,16 +54,16 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "repro-plan-artifact"
-#: Version 2: the tape executor changed the serialized plan payload
-#: (``OptimizedPlan.tape_kernel_choices`` rides in the pickle, and the
-#: manifest carries the tape section).  Version-1 artifacts are migrated by
-#: re-lowering from their manifest's compile config — see
-#: :meth:`repro.deploy.Deployment.load`.
-ARTIFACT_VERSION = 2
+#: Version 3: optimized plans execute only as tapes — the pickled steps carry
+#: window-einsum weight layouts instead of im2col ones and one
+#: ``kernel_choices`` table (the tape autotuner's) instead of two.  Version-1
+#: and version-2 artifacts are migrated by re-lowering from their manifest's
+#: compile config — see :meth:`repro.deploy.Deployment.load`.
+ARTIFACT_VERSION = 3
 ARTIFACT_SUFFIX = ".rpa"
 
 #: step attributes derived deterministically from other fingerprinted state
-#: (prepacked GEMM layouts are recomputed from the weight codes)
+#: (prepacked kernel layouts are recomputed from the weight codes)
 _DERIVED_STEP_KEYS = frozenset({"packed"})
 
 
@@ -117,8 +117,8 @@ def _feed(h, obj) -> None:
             _feed(h, key)
             _feed(h, obj[key])
     elif hasattr(obj, "__dict__"):
-        # Plan steps, QuantStage instances, fused-activation wrappers: hash
-        # the class name plus the instance state, minus derived caches.
+        # Plan steps and QuantStage instances: hash the class name plus the
+        # instance state, minus derived caches.
         h.update(b"O" + type(obj).__name__.encode())
         state = {k: v for k, v in vars(obj).items() if k not in _DERIVED_STEP_KEYS}
         _feed(h, state)
@@ -183,9 +183,6 @@ def save_artifact(path: str | Path, plan: ExecutionPlan, *, model: str,
                              if optimized and plan.report is not None else None),
         "kernel_choices": (dict(plan.kernel_choices)
                            if optimized and plan.kernel_choices else None),
-        "tape_kernel_choices": (
-            dict(plan.tape_kernel_choices)
-            if optimized and getattr(plan, "tape_kernel_choices", None) else None),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
         "numpy": np.__version__,

@@ -1,23 +1,25 @@
 """Typed configuration objects for the deployment API.
 
 One compile call used to mean threading a dozen loose kwargs through
-``compile_registry_model`` → ``optimize_plan`` → ``ExecutionPlan.bind`` →
-``BatchedRunner`` / ``FleetServer``.  These dataclasses replace that kwarg
-sprawl with four nested, validated configs:
+``optimize_plan`` → ``ExecutionPlan.bind`` → ``BatchedRunner`` /
+``FleetServer``.  These dataclasses replace that kwarg sprawl with four
+nested, validated configs:
 
 * :class:`QuantConfig` — how the model is statically quantized (calibration
   budget, per-layer precision, seed).  Distinct from
   :class:`repro.quant.config.QuantConfig`, which describes a *single
   quantizer*; this one describes the deployment-level quantization recipe.
 * :class:`RuntimeConfig` — how the compiled plan executes (batch shape,
-  accumulation backend, default shard workers).
+  accumulation backend, executor).  An optimized compile runs only as a
+  BLAS-lane tape; ``accumulate="int"`` / ``mode="steps"`` select the oracle
+  and need ``CompileConfig(optimize=False)``.
 * :class:`CompileConfig` — the full compile recipe: model parameters plus
   the two configs above plus the optimizer/autotune switches.  Its
   :meth:`CompileConfig.to_dict` form is canonical and feeds the
   content-address hash of plan artifacts (:func:`repro.deploy.config_key`).
 * :class:`ServeConfig` — how a deployment is served: batching policy,
-  admission control, cache capacity, dispatch/shard workers, and the
-  artifact directory backing the plan cache's disk tier.
+  admission control, cache capacity, dispatch workers, and the artifact
+  directory backing the plan cache's disk tier.
 
 Every config is frozen; derive variants with :func:`dataclasses.replace` or
 :meth:`CompileConfig.with_overrides` (which also understands the legacy flat
@@ -67,7 +69,6 @@ class RuntimeConfig:
 
     batch_size: int = 8
     accumulate: str = "blas"
-    workers: int = 1          # default shard count for Deployment.runner()
     mode: str = "tape"        # "tape" (flat instruction program) | "steps"
     fuse: bool = True         # tape elementwise-chain fusion (A/B knob)
 
@@ -77,8 +78,6 @@ class RuntimeConfig:
         if self.accumulate not in ("blas", "int"):
             raise ValueError(f"accumulate must be 'blas' or 'int', "
                              f"got {self.accumulate!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.mode not in ("tape", "steps"):
             raise ValueError(f"mode must be 'tape' or 'steps', got {self.mode!r}")
 
@@ -89,7 +88,7 @@ class RuntimeConfig:
 #: legacy flat kwarg name -> (nested config attribute, field name)
 _FLAT_QUANT = ("calibration_samples", "calibration_batch_size",
                "sequential_calibration", "precision", "seed")
-_FLAT_RUNTIME = ("batch_size", "accumulate", "workers", "mode", "fuse")
+_FLAT_RUNTIME = ("batch_size", "accumulate", "mode", "fuse")
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,16 @@ class CompileConfig:
         quant = dict(data.get("quant", {}))
         if quant.get("precision") is not None:
             quant["precision"] = LayerPrecision(**quant["precision"])
+        runtime = dict(data.get("runtime", {}))
+        # Version-2 artifact manifests stored the removed shard-count field;
+        # migration re-lowers from this config, so it must still parse.
+        runtime.pop("workers", None)
         return cls(
             num_classes=data.get("num_classes", 10),
             image_size=data.get("image_size"),
             in_channels=data.get("in_channels", 3),
             quant=QuantConfig(**quant),
-            runtime=RuntimeConfig(**data.get("runtime", {})),
+            runtime=RuntimeConfig(**runtime),
             optimize=data.get("optimize", True),
             autotune=data.get("autotune", True),
             model_kwargs=dict(data.get("model_kwargs", {})),
@@ -192,7 +195,6 @@ class ServeConfig:
     slo_shed: bool = True
     cache_capacity: int | None = None
     workers: int = 1                  # concurrent dispatch workers (across models)
-    shard_workers: int = 1            # per-batch data-parallel shards
     artifact_dir: str | Path | None = None   # disk tier for the plan cache
     disk_max_bytes: int | None = None        # disk-tier size bound (LRU GC)
     execution: str = "virtual"        # "virtual" clock | "real" thread pool
@@ -212,8 +214,6 @@ class ServeConfig:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.shard_workers < 1:
-            raise ValueError(f"shard_workers must be >= 1, got {self.shard_workers}")
         if self.execution not in ("virtual", "real"):
             raise ValueError(f"execution must be 'virtual' or 'real', "
                              f"got {self.execution!r}")

@@ -3,17 +3,17 @@
 :func:`compile` goes from a registry name (or an already-quantized graph) to
 a :class:`Deployment` in one step, driven by a single
 :class:`~repro.deploy.CompileConfig` instead of kwargs scattered across
-``compile_registry_model`` / ``optimize_plan`` / ``ExecutionPlan.bind`` /
-``BatchedRunner`` / ``FleetServer``.  The deployment object then exposes the
-whole serving surface:
+``optimize_plan`` / ``ExecutionPlan.bind`` / ``BatchedRunner`` /
+``FleetServer``.  The deployment object then exposes the whole serving
+surface:
 
 * :meth:`Deployment.run` / :meth:`Deployment.run_partial` — direct engine
   execution;
-* :meth:`Deployment.runner` — a batched serving runner, optionally sharded
-  across worker threads;
+* :meth:`Deployment.runner` — a batched serving runner;
 * :meth:`Deployment.serve` — a :class:`~repro.serving.FleetServer` with this
   deployment preloaded into the plan cache;
-* :meth:`Deployment.profile` — the per-step timing breakdown;
+* :meth:`Deployment.profile` — the timing breakdown of the executor the
+  engine runs (tape instructions, or plan steps on the oracle);
 * :meth:`Deployment.save` / :meth:`Deployment.load` — persistent plan
   artifacts.  A loaded deployment binds the deserialized plan (prepacked
   weights, cached autotune choices) and performs **zero** re-lowering,
@@ -36,12 +36,10 @@ from ..engine.plan import (
     EngineOutput,
     ExecutionPlan,
     PlanProfile,
-    StepTiming,
     lower_graph,
 )
 from ..engine.runner import BatchedRunner
 from ..graph import GraphIR, QuantizedModel, quantize_static, transforms
-from ..models.compiled import CompiledModel
 from ..models.inception import avgpool_channel_hints
 from ..models.registry import MODEL_REGISTRY, available_models
 from .artifact import ArtifactVersionError, load_artifact, plan_fingerprint, save_artifact
@@ -50,15 +48,18 @@ from .config import CompileConfig, ServeConfig
 __all__ = ["Deployment", "compile", "load"]
 
 
-def _compile_registry(name: str, config: CompileConfig) -> CompiledModel:
-    """Build → transform → statically quantize → lower → optimize → bind."""
+def _quantize_registry(name: str, config: CompileConfig) -> tuple[GraphIR, int, int]:
+    """Build → transform → statically quantize a registry model.
+
+    Returns the quantized graph, its input channel count and the image size.
+    """
     try:
         spec = MODEL_REGISTRY[name]
     except KeyError as exc:
         raise ValueError(f"unknown model {name!r}; available: "
                          f"{available_models()}") from exc
     image_size = config.image_size if config.image_size is not None else spec.input_size
-    quant, runtime = config.quant, config.runtime
+    quant = config.quant
 
     graph = spec.build(num_classes=config.num_classes, seed=quant.seed,
                        **config.model_kwargs)
@@ -76,18 +77,7 @@ def _compile_registry(name: str, config: CompileConfig) -> CompiledModel:
                                              seed=quant.seed)
     quantized = quantize_static(graph, calibration, precision=quant.precision,
                                 sequential=quant.sequential_calibration, copy=False)
-
-    plan = lower_graph(quantized.graph)
-    optimization = None
-    if config.optimize:
-        plan = optimize_plan(plan, autotune=config.autotune)
-        optimization = plan.report.to_dict()
-    engine = plan.bind((runtime.batch_size, spec.in_channels, image_size, image_size),
-                       accumulate=runtime.accumulate, mode=runtime.mode,
-                       fuse=runtime.fuse)
-    return CompiledModel(spec=spec, quantized=quantized, plan=plan, engine=engine,
-                         calibration_batches=calibration, image_size=image_size,
-                         num_classes=config.num_classes, optimization=optimization)
+    return quantized.graph, spec.in_channels, image_size
 
 
 def compile(model_or_name: str | GraphIR | QuantizedModel,  # noqa: A001 - the API name
@@ -107,29 +97,27 @@ def compile(model_or_name: str | GraphIR | QuantizedModel,  # noqa: A001 - the A
         config = config.with_overrides(**overrides)
 
     if isinstance(model_or_name, str):
-        compiled = _compile_registry(model_or_name, config)
-        return Deployment(model=model_or_name, config=config, plan=compiled.plan,
-                          engine=compiled.engine, compiled=compiled, source="compiled")
-
-    graph = (model_or_name.graph if isinstance(model_or_name, QuantizedModel)
-             else model_or_name)
-    if not isinstance(graph, GraphIR):
-        raise TypeError(f"compile() expects a registry name, GraphIR or "
-                        f"QuantizedModel, got {type(model_or_name).__name__}")
-    if config.image_size is None:
-        raise ValueError("compile(GraphIR, ...) requires config.image_size "
-                         "(there is no registry spec to default from)")
+        model = model_or_name
+        graph, in_channels, image_size = _quantize_registry(model, config)
+    else:
+        graph = (model_or_name.graph if isinstance(model_or_name, QuantizedModel)
+                 else model_or_name)
+        if not isinstance(graph, GraphIR):
+            raise TypeError(f"compile() expects a registry name, GraphIR or "
+                            f"QuantizedModel, got {type(model_or_name).__name__}")
+        if config.image_size is None:
+            raise ValueError("compile(GraphIR, ...) requires config.image_size "
+                             "(there is no registry spec to default from)")
+        model, in_channels, image_size = graph.graph_name, config.in_channels, config.image_size
     plan = lower_graph(graph)
     if config.optimize:
         plan = optimize_plan(plan, autotune=config.autotune)
     runtime = config.runtime
-    engine = plan.bind((runtime.batch_size, config.in_channels,
-                        config.image_size, config.image_size),
+    engine = plan.bind((runtime.batch_size, in_channels, image_size, image_size),
                        accumulate=runtime.accumulate, mode=runtime.mode,
                        fuse=runtime.fuse)
-    return Deployment(model=graph.graph_name, config=config, plan=plan,
-                      engine=engine, compiled=None, source="compiled",
-                      graph=graph)
+    return Deployment(model=model, config=config, plan=plan, engine=engine,
+                      source="compiled", graph=graph)
 
 
 def load(path: str | Path) -> "Deployment":
@@ -141,14 +129,12 @@ class Deployment:
     """A compiled model plus everything needed to run, serve and ship it."""
 
     def __init__(self, *, model: str, config: CompileConfig, plan: ExecutionPlan,
-                 engine: CompiledEngine, compiled: CompiledModel | None = None,
-                 source: str = "compiled", manifest: dict | None = None,
-                 graph: GraphIR | None = None) -> None:
+                 engine: CompiledEngine, source: str = "compiled",
+                 manifest: dict | None = None, graph: GraphIR | None = None) -> None:
         self.model = model
         self.config = config
         self.plan = plan
         self.engine = engine
-        self.compiled = compiled
         self.source = source                   # "compiled" | "artifact"
         self.artifact_manifest = manifest      # set on loaded deployments
         self._graph = graph
@@ -159,8 +145,6 @@ class Deployment:
     @property
     def graph(self) -> GraphIR:
         """The fake-quant simulation graph (fresh compiles only)."""
-        if self.compiled is not None:
-            return self.compiled.quantized.graph
         if self._graph is not None:
             return self._graph
         raise AttributeError(
@@ -185,7 +169,8 @@ class Deployment:
 
     @property
     def kernel_choices(self) -> dict[str, str] | None:
-        """Cached autotune decisions riding on the plan (and its artifacts)."""
+        """The tape autotuner's cached decisions riding on the plan (and its
+        artifacts); ``None`` for an unoptimized deployment."""
         return self.plan.kernel_choices if self.optimized else None
 
     @property
@@ -234,47 +219,21 @@ class Deployment:
         return self.engine.run_partial(images)
 
     def profile(self, x: np.ndarray | None = None, repeats: int = 5,
-                level: str = "steps") -> PlanProfile:
-        """Timing breakdown of the bound engine.
+                level: str | None = None) -> PlanProfile:
+        """Timing breakdown of the executor the engine runs.
 
-        ``level="steps"`` (default) times the plan's step interpreter — one
-        row per lowered plan step.  ``level="tape"`` times the compiled
-        instruction program the default runtime actually executes: fused
-        elementwise chains appear as single instructions and tunable groups
-        resolve to their chosen kernel variant, so the rows are what the
-        wall clock really pays per pass (requires a tape-mode engine).
+        A tape-mode deployment (every optimized one) reports its compiled
+        instruction program — fused elementwise chains as single
+        instructions, tunable groups under their chosen kernel variant; a
+        steps-mode deployment reports one row per lowered plan step.
+        ``level`` (``"tape"`` | ``"steps"``) overrides the choice; see
+        :meth:`repro.engine.plan.CompiledEngine.profile`.
         """
-        if level == "steps":
-            return self.engine.profile(x=x, repeats=repeats)
-        if level != "tape":
-            raise ValueError(f"level must be 'steps' or 'tape', got {level!r}")
-        engine = self.engine
-        if engine.mode != "tape":
-            raise ValueError("level='tape' requires a tape-mode engine "
-                             "(compile with runtime mode='tape')")
-        tape = engine._ensure_tape()
-        probe = np.zeros(engine.input_shape) if x is None else x
-        probe = engine._check_input(probe)
-        np.copyto(tape.input_buffer, probe)
-        timings = tape.profile(repeats=repeats)
-        total_s = sum(seconds for _, _, seconds in timings) or 1.0
-        steps = [StepTiming(name=name, op=kind, mean_ms=seconds * 1e3,
-                            share=seconds / total_s)
-                 for name, kind, seconds in timings]
-        return PlanProfile(graph_name=self.plan.graph_name,
-                           input_shape=tuple(engine.input_shape),
-                           repeats=repeats, steps=steps,
-                           total_ms=sum(t.mean_ms for t in steps))
+        return self.engine.profile(x=x, repeats=repeats, level=level)
 
-    def runner(self, workers: int | None = None) -> BatchedRunner:
-        """A batched serving runner over this deployment's engine.
-
-        ``workers`` defaults to the runtime config; ``workers > 1`` shards
-        every batch across per-worker engines bound from the same plan (the
-        cached autotune choices are reapplied, not re-profiled).
-        """
-        workers = workers if workers is not None else self.config.runtime.workers
-        return BatchedRunner(self.engine, workers=workers)
+    def runner(self) -> BatchedRunner:
+        """A batched serving runner over this deployment's engine."""
+        return BatchedRunner(self.engine)
 
     def serve(self, serve: ServeConfig | None = None, *, compute_time_fn=None,
               compile_config: CompileConfig | None = None,
@@ -322,7 +281,6 @@ class Deployment:
             compute_time_fn=compute_time_fn,
             warm=False,
             workers=serve.workers,
-            shard_workers=serve.shard_workers,
             artifact_dir=serve.artifact_dir,
             disk_max_bytes=serve.disk_max_bytes,
             execution=serve.execution,
@@ -361,18 +319,17 @@ class Deployment:
         """Rebuild a deployment from an artifact — no recompilation.
 
         The deserialized plan already carries prepacked weights and the
-        cached autotune choices (step-level *and* tape-level), so the only
-        work performed is the buffer bind plus the tape compile; lowering,
-        optimizer passes and kernel micro-profiling all stay at zero
-        (observable via :data:`repro.engine.PIPELINE_COUNTERS`), and the
-        engine is bit-exact with a fresh compile of the same config.
+        cached autotune choices, so the only work performed is the buffer
+        bind plus the tape compile; lowering, optimizer passes and kernel
+        micro-profiling all stay at zero (observable via
+        :data:`repro.engine.PIPELINE_COUNTERS`), and the engine is bit-exact
+        with a fresh compile of the same config.
 
-        **Version migration:** a version-1 artifact (pre-tape payload) is
-        transparently migrated when ``migrate=True`` — the model is
-        recompiled from the manifest's stored compile config (this *does*
-        re-lower, once) and the artifact is rewritten in the current format,
-        so shipped fleets roll forward instead of dying on
-        :class:`~repro.deploy.ArtifactError`.
+        **Version migration:** an older-version artifact is transparently
+        migrated when ``migrate=True`` — the model is recompiled from the
+        manifest's stored compile config (this *does* re-lower, once) and
+        the artifact is rewritten in the current format, so shipped fleets
+        roll forward instead of dying on :class:`~repro.deploy.ArtifactError`.
         """
         try:
             plan, manifest = load_artifact(path)
@@ -387,8 +344,7 @@ class Deployment:
                            accumulate=manifest.get("accumulate", "blas"),
                            mode=runtime.mode, fuse=runtime.fuse)
         return cls(model=manifest["model"], config=config, plan=plan,
-                   engine=engine, compiled=None, source="artifact",
-                   manifest=manifest)
+                   engine=engine, source="artifact", manifest=manifest)
 
     @classmethod
     def _migrate(cls, path: str | Path, manifest: dict) -> "Deployment":

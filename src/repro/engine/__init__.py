@@ -2,15 +2,15 @@
 
 Lowers quantized graphs (TQT power-of-2 thresholds) into linear plans of
 pure integer kernels — im2col conv / matmul accumulation, bit-shift
-requantization, fused bias + ReLU/ReLU6 — with preallocated buffer reuse,
-a plan-level optimizer pass pipeline (epilogue fusion, weight prepacking,
-im2col elimination, per-layer backend autotuning), a compiled **tape
-executor** (flat instruction programs with fused elementwise chains and a
-tape-level autotuner — the default ``run`` path, with the step interpreter
-kept as the ``mode="steps"`` reference), multicore sharded and
-branch-parallel execution, a batched serving runner with megabatch
-coalescing, a per-step profiler and a bit-exactness parity checker against
-the float fake-quant simulation.
+requantization, fused bias + ReLU/ReLU6 — with preallocated buffer reuse.
+One oracle, one executor: the lowered plan, step-interpreted with int64
+accumulation, is the reference; the optimizer pass pipeline (epilogue
+fusion, im2col elimination, weight prepacking) rewrites it into a plan that
+executes only as a compiled **tape** — a flat instruction program with
+fused elementwise chains whose kernel variants one autotuner arbitrates.
+Around them: a batched serving runner with megabatch coalescing, a profiler
+that reports the executor an engine actually runs, and a bit-exactness
+parity checker against the float fake-quant simulation.
 """
 
 from .counters import PIPELINE_COUNTERS, PipelineCounters
@@ -35,10 +35,8 @@ from .optimizer import (
     ElementwiseChain,
     OptimizationReport,
     OptimizedPlan,
-    autotune_engine,
     optimize_plan,
 )
-from .parallel import BranchParallelEngine, ShardedRunner
 from .program import TapeProgram, compile_tape
 from .runner import BatchedRunner, RequestResult, RunnerStats, pack_partial_fills
 from .parity import (
@@ -67,10 +65,7 @@ __all__ = [
     "ElementwiseChain",
     "OptimizationReport",
     "OptimizedPlan",
-    "autotune_engine",
     "optimize_plan",
-    "BranchParallelEngine",
-    "ShardedRunner",
     "TapeProgram",
     "compile_tape",
     "BatchedRunner",

@@ -7,13 +7,14 @@ stages are observable, so each one ticks a process-global counter here:
 
 * ``lowerings`` — :func:`repro.engine.plan.lower_graph` calls;
 * ``optimizations`` — :func:`repro.engine.optimizer.optimize_plan` calls;
-* ``autotune_runs`` — :func:`repro.engine.optimizer.autotune_engine` calls
-  (one per engine whose kernel variants were micro-profiled);
 * ``tape_compilations`` — :func:`repro.engine.program.compile_tape` calls
   (binding an engine in tape mode compiles one instruction program);
-* ``tape_autotune_runs`` — tape-level variant micro-profiling runs.  A plan
-  whose tape kernel choices were cached (or loaded from an artifact) compiles
-  its tape without ticking this.
+* ``tape_autotune_runs`` — :meth:`repro.engine.program.TapeProgram.autotune`
+  runs, the one autotuner.  A plan whose kernel choices were cached (or
+  loaded from an artifact) compiles its tape without ticking this;
+* ``autotune_runs`` — the removed step-level autotuner's counter.  Nothing
+  ticks it; the key stays because the frozen ``benchmarks/e2e`` probe
+  indexes it, and goes when a benchmark PR drops that read.
 
 Tests snapshot the counters, perform the operation under scrutiny, and
 assert the delta — see ``tests/test_deploy_api.py``.

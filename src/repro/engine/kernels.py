@@ -16,9 +16,9 @@ integer multiply-accumulate followed by a power-of-2 requantization shift
   BLAS path (the parity tests assert this) and closer to what an int32-MAC
   accelerator executes, but slower because NumPy has no BLAS for integers.
 
-All buffers (padded input, im2col columns, accumulators) are preallocated at
-plan-bind time and reused across batches, so the steady-state hot path
-performs no allocation.
+Padded inputs and accumulators are preallocated at plan-bind time (the
+reference path's im2col columns on their first fill) and reused across
+batches, so the steady-state hot path performs no allocation.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ def _normalize_pair(value) -> tuple[int, int]:
 class ConvGeometry:
     """Bound im2col geometry for one convolution step.
 
-    Owns the preallocated padded-input and column buffers and knows how to
-    fill them from an NCHW code tensor without allocating.
+    Owns the padded-input staging and the im2col column buffer and knows
+    how to fill them from an NCHW code tensor.
     """
 
     batch: int
@@ -99,7 +99,9 @@ class ConvGeometry:
     out_height: int = field(init=False)
     out_width: int = field(init=False)
     _padded: np.ndarray | None = field(init=False, default=None)
-    _cols: np.ndarray | None = field(init=False)
+    #: im2col columns, allocated by the first :meth:`fill_columns` — only the
+    #: reference ``conv_accumulate`` path materializes them
+    _cols: np.ndarray | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         kh, kw = self.kernel
@@ -120,16 +122,6 @@ class ConvGeometry:
                     padded_shape, self.dtype, bool(ph or pw))
             else:
                 self._padded = np.zeros(padded_shape, dtype=self.dtype)
-        if self.is_depthwise:
-            self._cols = None  # depthwise contracts the window view directly
-        else:
-            m = self.batch * self.out_height * self.out_width
-            k = (self.in_channels // self.groups) * kh * kw
-            cols_shape = (self.groups, m, k)
-            if self.scratch is not None:
-                self._cols = self.scratch(("conv_cols",), cols_shape, self.dtype, False)
-            else:
-                self._cols = np.empty(cols_shape, dtype=self.dtype)
 
     @classmethod
     def from_module(cls, batch: int, in_channels: int, height: int, width: int,
@@ -173,6 +165,9 @@ class ConvGeometry:
         # the group axis out front, then fuse transpose+cast into one copy.
         g = self.groups
         cg = self.in_channels // g
+        if self._cols is None:
+            self._cols = np.empty((g, self.batch * self.out_height * self.out_width,
+                                   cg * kh * kw), dtype=self.dtype)
         view = windows.reshape(self.batch, g, cg, self.out_height, self.out_width, kh, kw)
         view = view.transpose(1, 0, 3, 4, 2, 5, 6)
         np.copyto(
@@ -233,8 +228,7 @@ def conv_accumulate(geometry: ConvGeometry, x: np.ndarray, weight_t: np.ndarray,
 
 def pointwise_accumulate(x: np.ndarray, weight: np.ndarray, acc: np.ndarray,
                          staging: np.ndarray | None = None,
-                         subsample: tuple[int, int] | None = None,
-                         mode: str = "blas") -> np.ndarray:
+                         subsample: tuple[int, int] | None = None) -> np.ndarray:
     """1x1 convolution as a direct channel-axis GEMM — no im2col.
 
     A pointwise (1x1, ungrouped, unpadded) convolution is ``weight (O, C)``
@@ -261,11 +255,7 @@ def pointwise_accumulate(x: np.ndarray, weight: np.ndarray, acc: np.ndarray,
     if staging is not None:
         np.copyto(staging, x)
         x = staging
-    src = x.reshape(n, c, x.shape[2] * x.shape[3])
-    if mode == "int":
-        acc[...] = weight.astype(np.int64) @ src.astype(np.int64)
-    else:
-        np.matmul(weight, src, out=acc)
+    np.matmul(weight, x.reshape(n, c, x.shape[2] * x.shape[3]), out=acc)
     return acc
 
 

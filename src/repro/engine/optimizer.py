@@ -1,33 +1,33 @@
 """Plan-level optimization passes for the integer inference engine.
 
 :func:`optimize_plan` rewrites a lowered :class:`~repro.engine.plan.ExecutionPlan`
-into an :class:`OptimizedPlan` whose steps execute the same integer
-arithmetic through faster kernels.  The pass pipeline runs between lowering
-and binding:
+— the step-interpreted oracle — into an :class:`OptimizedPlan` whose compute
+steps are descriptors for the tape executor (:mod:`repro.engine.program`):
+binding one resolves geometry, tail constants, the accumulator-bound and
+float32-exactness proofs, prepacked weights and buffers, and the tape
+compiler emits the kernels.  An optimized plan has no step interpreter; it
+executes only as a tape, in the exact BLAS lanes.  The passes:
 
 1. **Compute-step fusion / GEMM-epilogue fusion** — every conv/matmul step
    is rewritten so the bias add, 16-bit accumulator stage, activation and
-   requantization shift/clamp run directly on the GEMM accumulator; the
-   intermediate NCHW "image" copy of the baseline conv step disappears and
-   the requantized codes are written into the output buffer in one pass.
-   Standalone ReLU / ReLU6 steps are folded into their producer when they
-   are its sole consumer.
-2. **Weight prepacking** — weight codes are packed into their GEMM-ready
-   layout (transposed ``(G, K, O)`` matrices, per-channel depthwise filters,
-   ``(O, C)`` pointwise matrices) once at optimization time, in both float64
-   and float32 lanes, instead of on every bind.
-3. **im2col elimination** — 1x1 ungrouped convolutions (the pointwise half
-   of every depthwise-separable block) skip im2col entirely: the GEMM runs
-   over the channel axis of the NCHW tensor and produces the output layout
-   directly.  All remaining staging buffers (im2col columns, padded inputs,
-   accumulators, cast staging) are shared across steps through the bind
-   context's scratch pool, so a deep plan allocates each distinct shape once.
-4. **Per-layer backend autotuning** — each rewritten step carries several
-   bit-exact kernel variants (float64 BLAS lanes, float32 BLAS lanes when
-   the worst-case accumulator provably fits 2^24, pure int64).  On the first
-   bind the autotuner micro-profiles every variant in place and caches the
-   winning choice on the plan, so later binds (shard engines, recompiles of
-   the same plan) reuse the decision.
+   requantization shift/clamp compile into one elementwise chain that runs
+   directly on the kernel's accumulator and writes the requantized codes
+   into the output buffer.
+2. **im2col elimination** — no optimized convolution materializes im2col
+   columns: 1x1 ungrouped convolutions run a GEMM over the channel axis of
+   the NCHW tensor, all others contract the strided window view or run the
+   tape's stacked-shift GEMM.  Staging buffers (padded inputs, accumulators,
+   cast staging) are shared across steps through the bind context's scratch
+   pool, so a deep plan allocates each distinct shape once.
+3. **Weight prepacking** — weight codes are packed into their kernel-ready
+   layout once at optimization time, in both float64 and float32 lanes,
+   instead of on every bind.
+4. **Backend autotuning** — each rewritten step offers the tape several
+   bit-exact kernel variants (float64 lanes always, float32 lanes when the
+   worst-case accumulator provably fits 2^24).  The plan's first bind lets
+   the tape micro-profile them in place and caches the winners in
+   :attr:`OptimizedPlan.kernel_choices`, so later binds and loaded
+   artifacts reuse the decision.
 
 Every pass is semantics-preserving on the integer grid: the optimized plan
 is *bit-exact* against the unoptimized plan (and therefore against the
@@ -37,32 +37,21 @@ model.
 
 from __future__ import annotations
 
-import copy
-import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ..graph.ir import OpKind
 from .counters import PIPELINE_COUNTERS
-from .kernels import (
-    FLOAT32_ACCUMULATOR_LIMIT,
-    ConvGeometry,
-    _normalize_pair,
-    depthwise_accumulate,
-    pointwise_accumulate,
-)
+from .kernels import FLOAT32_ACCUMULATOR_LIMIT, ConvGeometry, _normalize_pair
 from .plan import (
     CompiledEngine,
     ExecutionPlan,
     PlanError,
-    _ActivationOnlyStep,
-    _apply_activation,
     _BoundStep,
     _ComputeStep,
     _ConvStep,
     _LinearStep,
-    _relu6_bound,
 )
 
 __all__ = [
@@ -70,7 +59,6 @@ __all__ = [
     "OptimizationReport",
     "OptimizedPlan",
     "optimize_plan",
-    "autotune_engine",
     "tail_chain",
 ]
 
@@ -86,7 +74,6 @@ class OptimizationReport:
     epilogue_fused: int = 0        # compute steps rewritten with fused epilogues
     pointwise_lowered: int = 0     # 1x1 convs rewritten as direct GEMM
     depthwise_direct: int = 0      # depthwise convs on the window-view contraction
-    activations_fused: int = 0     # standalone relu/relu6 folded into producers
     prepacked_steps: int = 0       # steps with bind-ready weight layouts
     prepacked_bytes: int = 0
 
@@ -96,7 +83,6 @@ class OptimizationReport:
             "epilogue_fused": self.epilogue_fused,
             "pointwise_lowered": self.pointwise_lowered,
             "depthwise_direct": self.depthwise_direct,
-            "activations_fused": self.activations_fused,
             "prepacked_steps": self.prepacked_steps,
             "prepacked_bytes": self.prepacked_bytes,
         }
@@ -338,19 +324,16 @@ class ElementwiseChain:
 
 
 def tail_chain(constants: dict, src: np.ndarray, dst: np.ndarray, *,
-               src_mutable: bool = True, fuse: bool = True,
-               extra_activation: str | None = None,
-               extra_relu6_bound: float | None = None) -> tuple[list[tuple], dict]:
+               fuse: bool = True) -> tuple[list[tuple], dict]:
     """Compile a compute step's post-accumulation tail as a fused chain.
 
-    Mirrors :func:`_run_compute_tail` / :func:`_fused_tail` semantics — bias
-    add, 16-bit accumulator stage, activation, output requantize — from the
-    step's resolved tail ``constants``, with the chain compiler's elimination
-    rules subsuming the ``_augment_tail`` shortcuts.  ``extra_activation``
-    appends a folded standalone ReLU/ReLU6 on the output codes.
+    Mirrors :func:`repro.engine.plan._run_compute_tail` — bias add, 16-bit
+    accumulator stage, activation, output requantize — from the step's
+    resolved tail ``constants``; the chain runs in place on the accumulator
+    ``src`` and lands the codes in ``dst``.
     """
     chain = ElementwiseChain(src, dst, bound=float(constants.get("acc_bound", _INF)),
-                             integral=True, src_mutable=src_mutable, fuse=fuse)
+                             integral=True, src_mutable=True, fuse=fuse)
     divisor = constants["divisor"]
     if constants["bias_addend"] is not None:
         if constants["acc_shift_up"] != 1.0:
@@ -372,49 +355,48 @@ def tail_chain(constants: dict, src: np.ndarray, dst: np.ndarray, *,
         chain.scale((2.0 ** float(-constants["output_shift"])) / float(divisor))
         chain.round()
         chain.clip(stage.qmin, stage.qmax)
-    if extra_activation == "relu":
-        chain.relu()
-    elif extra_activation == "relu6":
-        chain.relu6(extra_relu6_bound)
     return chain.compile()
 
 
 # ---------------------------------------------------------------------- #
-# Tunable bound steps
+# Bound optimized steps: facts for the tape emitters, no interpreter
 # ---------------------------------------------------------------------- #
-class _TunableBound(_BoundStep):
-    """Bound step dispatching through one of several bit-exact kernel variants.
+@dataclass
+class _Lane:
+    """One exact accumulation lane of a bound optimized compute step.
 
-    Subclasses are created per bind with ``_impls`` (variant name ->
-    ``fn(bound, env)``) and ``_default`` filled in; the autotuner flips
-    ``variant`` after micro-profiling.
+    The float64 lane always exists; the float32 lane (half the memory
+    traffic, sgemm instead of dgemm) only when :func:`_f32_exact` proved
+    every intermediate of the step fits 2^24.  A lane holds what its kernels
+    read and write: the prepacked weights, the accumulator buffer, the
+    cast/pad staging and the tail constants with the bias staged in the
+    lane's dtype.
     """
 
-    _impls: dict = {}
-    _default: str = ""
-    #: bind-time kernel metadata for the tape compiler (set per bind)
-    _tape: dict | None = None
+    weight: np.ndarray
+    acc: np.ndarray
+    constants: dict
+    staging: np.ndarray | None = None       # pointwise / linear cast staging
+    geometry: ConvGeometry | None = None    # conv window geometry + padded staging
 
-    def __init__(self, step, input_slots, output_slot, output) -> None:
+    @property
+    def suffix(self) -> str:
+        """Variant-name suffix of the lane: ``""`` (float64) | ``"32"``."""
+        return "32" if self.acc.dtype == np.float32 else ""
+
+
+class _BoundKernel(_BoundStep):
+    """A bound optimized compute step: the exact lanes the tape emitters of
+    :mod:`repro.engine.program` choose between.  It has no interpreter."""
+
+    def __init__(self, step, input_slots, output_slot, output, lanes: list[_Lane]) -> None:
         super().__init__(step, input_slots, output_slot, output)
-        self.variant = self._default
-
-    @property
-    def variants(self) -> tuple[str, ...]:
-        return tuple(self._impls)
-
-    @property
-    def tunable(self) -> bool:
-        return len(self._impls) > 1
-
-    def set_variant(self, name: str) -> None:
-        if name not in self._impls:
-            raise ValueError(f"{self.step.name}: unknown kernel variant {name!r}; "
-                             f"available: {list(self._impls)}")
-        self.variant = name
+        self.lanes = lanes
 
     def run(self, env) -> None:
-        self._impls[self.variant](self, env)
+        raise PlanError(
+            f"{self.step.name}: an optimized plan executes only as a tape; the step "
+            f"interpreter runs the reference plan — lower with optimize=False")
 
 
 def _f32_exact(constants: dict, accumulator_bound: int, in_max_abs: int) -> bool:
@@ -433,7 +415,7 @@ def _f32_exact(constants: dict, accumulator_bound: int, in_max_abs: int) -> bool
     return max(worst, float(in_max_abs)) < FLOAT32_ACCUMULATOR_LIMIT
 
 
-def _out_dtype(constants: dict, ctx) -> np.dtype:
+def _out_dtype(constants: dict) -> np.dtype:
     """float32 output lanes when every output code provably fits 2^24.
 
     Post-requantize codes are bounded by the output meta's ``max_abs``;
@@ -443,8 +425,7 @@ def _out_dtype(constants: dict, ctx) -> np.dtype:
     and staging copies cast on write).  GEMM accumulators never target these
     buffers directly when the lanes are narrow.
     """
-    if (ctx.accumulate == "blas"
-            and 0 < constants["out_meta"].max_abs < FLOAT32_ACCUMULATOR_LIMIT):
+    if 0 < constants["out_meta"].max_abs < FLOAT32_ACCUMULATOR_LIMIT:
         return np.dtype(np.float32)
     return np.dtype(np.float64)
 
@@ -458,120 +439,17 @@ def _f32_constants(constants: dict) -> dict:
     return lowered
 
 
-def _augment_tail(constants: dict, accumulator_bound: int) -> dict:
-    """Precompute epilogue shortcuts that the accumulator bound proves safe.
-
-    * ``skip_internal_clip`` — the 16-bit accumulator stage's clip is a
-      no-op when the shifted worst-case accumulator provably stays inside
-      the stage's range; the rounding still runs (it changes codes).
-    * Activation folding — ``relu``/``relu6`` before an output stage
-      commute with the monotone requantize shift, so they collapse into
-      the output clip's bounds (``final_qmin``/``final_qmax``) and the
-      separate full-tensor activation pass disappears.  ReLU6 folds only
-      when its clip lands on the output integer grid; otherwise the
-      baseline two-pass order is kept.
-    """
-    c = dict(constants)
-    c["skip_internal_clip"] = False
-    c["skip_activation"] = False
-    c["final_qmin"] = c["final_qmax"] = None
-    bound = float(accumulator_bound)
-    if c["internal_shift"] is not None:
-        stage = c["internal"]
-        shifted = bound * 2.0 ** float(-c["internal_shift"]) / float(c["divisor"])
-        if shifted + 1.0 <= stage.qmax and -(shifted + 1.0) >= stage.qmin:
-            c["skip_internal_clip"] = True
-    if c["output_shift"] is not None and c["activation"] in ("relu", "relu6"):
-        stage = c["output_stage"]
-        lo, hi = max(stage.qmin, 0), stage.qmax
-        foldable = True
-        if c["activation"] == "relu6":
-            bound6 = 6.0 * 2.0 ** stage.fraction
-            if bound6 == np.floor(bound6):
-                hi = min(hi, int(bound6))
-            else:
-                foldable = False
-        if foldable:
-            c["skip_activation"] = True
-            c["final_qmin"], c["final_qmax"] = lo, hi
-    return c
-
-
-def _epilogue_prologue(acc: np.ndarray, c: dict) -> int:
-    """Shared epilogue head: bias add, internal accumulator stage, activation.
-
-    Runs in place on the accumulator (any layout, any lane dtype) and
-    returns the divisor remaining for the output shift.  The ``_augment_tail``
-    shortcuts apply: a provably no-op internal clip is skipped, and a folded
-    activation is deferred to the output clamp.
-    """
-    if c["bias_addend"] is not None:
-        if c["acc_shift_up"] != 1.0:
-            np.multiply(acc, c["acc_shift_up"], out=acc)
-        acc += c["bias_addend"]
-    divisor = c["divisor"]
-    if c["internal_shift"] is not None:
-        stage = c["internal"]
-        np.multiply(acc, (2.0 ** float(-c["internal_shift"])) / float(divisor), out=acc)
-        np.rint(acc, out=acc)
-        if not c["skip_internal_clip"]:
-            np.clip(acc, stage.qmin, stage.qmax, out=acc)
-        divisor = 1
-    if not c["skip_activation"]:
-        _apply_activation(acc, c["activation"], c["relu6_bound"])
-    return divisor
-
-
-def _fused_tail(acc: np.ndarray, out: np.ndarray, c: dict) -> None:
-    """Bias/stage/activation/requantize with the ``_augment_tail`` shortcuts."""
-    divisor = _epilogue_prologue(acc, c)
-    if c["output_shift"] is not None:
-        stage = c["output_stage"]
-        np.multiply(acc, (2.0 ** float(-c["output_shift"])) / float(divisor), out=out)
-        np.rint(out, out=out)
-        lo = stage.qmin if c["final_qmin"] is None else c["final_qmin"]
-        hi = stage.qmax if c["final_qmax"] is None else c["final_qmax"]
-        np.clip(out, lo, hi, out=out)
-    else:
-        np.copyto(out, acc)
-
-
-def _conv_epilogue(acc: np.ndarray, out: np.ndarray, c: dict,
-                   g: int, n: int, og: int, oh: int, ow: int) -> None:
-    """Bias/stage/activation/requantize directly on the (G, M, O) accumulator.
-
-    The final shift+clamp writes through a transposed view of the NCHW
-    output buffer, so the baseline's separate accumulator→image transpose
-    copy disappears; rint/clip then run on the contiguous output.  The
-    ``_augment_tail`` shortcuts (no-op clip elimination, activation folding)
-    apply here too.
-    """
-    divisor = _epilogue_prologue(acc, c)   # bias addend is the (G, 1, O) reshape
-    acc_t = acc.reshape(g, n, oh, ow, og).transpose(0, 1, 4, 2, 3)
-    out_v = out.reshape(n, g, og, oh, ow).transpose(1, 0, 2, 3, 4)
-    if c["output_shift"] is not None:
-        stage = c["output_stage"]
-        factor = (2.0 ** float(-c["output_shift"])) / float(divisor)
-        np.multiply(acc_t, factor, out=out_v)
-        np.rint(out, out=out)
-        lo = stage.qmin if c["final_qmin"] is None else c["final_qmin"]
-        hi = stage.qmax if c["final_qmax"] is None else c["final_qmax"]
-        np.clip(out, lo, hi, out=out)
-    else:
-        np.copyto(out_v, acc_t)
-
-
 # ---------------------------------------------------------------------- #
 # Optimized compute steps
 # ---------------------------------------------------------------------- #
 class _FusedConvStep(_ComputeStep):
-    """Conv step with prepacked weights and the epilogue fused onto the GEMM.
+    """Conv step with prepacked weights and the epilogue fused onto the kernel.
 
-    Depthwise convolutions contract the strided window view directly (no
-    im2col, no group transpose); all other convolutions keep im2col but skip
-    the baseline's accumulator→image copy.  Kernel variants: ``blas``
-    (float64 lanes), ``blas32`` (float32 lanes, offered only when the
-    accumulator bound fits 2^24), ``int`` (pure int64 reference).
+    Every family contracts the strided window view directly — depthwise
+    against per-channel filters, dense and grouped convolutions against
+    their ``(O, C, KH, KW)`` / ``(G, Og, Cg, KH, KW)`` filter blocks — or
+    runs the tape's stacked-shift GEMM; no im2col column copy, no
+    accumulator→image transpose.
     """
 
     def __init__(self, src: _ConvStep) -> None:
@@ -594,262 +472,50 @@ class _FusedConvStep(_ComputeStep):
                 and self.weight_codes.shape[1] == 1)
 
     def prepack(self) -> int:
-        """Stage the weight codes in GEMM-ready layout (once, not per bind)."""
+        """Stage the weight codes in einsum-ready layout (once, not per bind)."""
         g = self.groups
+        o, cg, kh, kw = self.weight_codes.shape
         if self.is_depthwise:
-            kh, kw = self.weight_codes.shape[2], self.weight_codes.shape[3]
-            packed = self.weight_codes.reshape(g, kh, kw).astype(np.float64)
-            self.packed = {"f64": packed, "f32": packed.astype(np.float32)}
+            packed = self.weight_codes.reshape(g, kh, kw)
+        elif g == 1:
+            packed = self.weight_codes
         else:
-            o, cg, kh, kw = self.weight_codes.shape
-            k = cg * kh * kw
-            packed = np.ascontiguousarray(
-                self.weight_codes.reshape(g, o // g, k).transpose(0, 2, 1)
-                .astype(np.float64))
-            self.packed = {"f64": packed, "f32": packed.astype(np.float32)}
-            if g == 1:
-                # (O, C, KH, KW) layout for the window-view einsum variant.
-                w4 = self.weight_codes.astype(np.float64)
-                self.packed["w4_f64"] = w4
-                self.packed["w4_f32"] = w4.astype(np.float32)
-            else:
-                # (G, Og, Cg, KH, KW) layout for the grouped window-view
-                # einsum variant (non-depthwise grouped convolutions).
-                w5 = self.weight_codes.reshape(g, o // g, cg, kh, kw).astype(np.float64)
-                self.packed["w5_f64"] = w5
-                self.packed["w5_f32"] = w5.astype(np.float32)
+            # (G, Og, Cg, KH, KW): splitting the window view's channel axis
+            # into (G, Cg) is stride-free, so each group contracts against
+            # its own filter block.
+            packed = self.weight_codes.reshape(g, o // g, cg, kh, kw)
+        self.packed = {"f64": packed.astype(np.float64), "f32": packed.astype(np.float32)}
         return sum(w.nbytes for w in self.packed.values())
 
     def describe(self) -> str:
-        kind = "depthwise-direct" if self.is_depthwise else "im2col"
+        kind = "depthwise-direct" if self.is_depthwise else "window-gemm"
         return super().describe() + f", fused-epilogue[{kind}]"
 
     def bind(self, values, ctx):
-        if not self.packed:
-            self.prepack()
         (x,) = values
         n, c_in, h, w = x.shape
-        geometry = ConvGeometry.from_module(
-            n, c_in, h, w, self.out_channels, self.kernel_size, self.stride,
-            self.padding, self.groups, scratch=ctx.scratch)
-        g = self.groups
-        k = (c_in // g) * geometry.kernel[0] * geometry.kernel[1]
-        constants = _augment_tail(self._tail_constants(
+
+        def geometry(dtype) -> ConvGeometry:
+            return ConvGeometry.from_module(
+                n, c_in, h, w, self.out_channels, self.kernel_size, self.stride,
+                self.padding, self.groups, dtype=dtype, scratch=ctx.scratch)
+
+        geometry64 = geometry(np.float64)
+        k = (c_in // self.groups) * geometry64.kernel[0] * geometry64.kernel[1]
+        constants = self._tail_constants(
             x.meta, k_per_output=k,
-            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)),
-        ), self.accumulator_bound)
-        out = ctx.pool.acquire(geometry.output_shape, _out_dtype(constants, ctx))
-        f32_ok = _f32_exact(constants, self.accumulator_bound, x.meta.max_abs)
-        if self.is_depthwise:
-            bound_cls = self._bind_depthwise(geometry, constants, ctx, f32_ok)
-        else:
-            bound_cls = self._bind_im2col(geometry, constants, ctx, f32_ok)
-        return bound_cls, geometry.output_shape, constants["out_meta"], out
-
-    # ------------------------------------------------------------------ #
-    def _bind_depthwise(self, geometry, constants, ctx, f32_ok):
-        n, c_in = geometry.batch, geometry.in_channels
-        h, w = geometry.height, geometry.width
-        weight64, weight32 = self.packed["f64"], self.packed["f32"]
-        probe = geometry.windows(np.zeros((n, c_in, h, w)))
-        path = np.einsum_path("nchwij,cij->nchw", probe, weight64, optimize=True)[0]
-        image = ctx.scratch(("dw_image",), geometry.output_shape)
+            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
         if constants["bias_addend"] is not None:
-            constants = dict(constants)
             constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1, 1)
-
-        def run_int(bound, env):
-            depthwise_accumulate(geometry, env[bound.input_slots[0]], weight64,
-                                 image, path, mode="int")
-            _fused_tail(image, bound.output, constants)
-            env[bound.output_slot] = bound.output
-
-        impls = {"int": run_int}
-        default = "int"
-        tape_info = dict(kind="dw", step=self, geometry=geometry, geometry32=None,
-                         weight64=weight64, weight32=weight32, path=path,
-                         image=image, image32=None, constants_img=constants,
-                         constants_img32=None, f32_ok=f32_ok, groups=self.groups)
-        if ctx.accumulate == "blas":
-            def run_blas(bound, env):
-                depthwise_accumulate(geometry, env[bound.input_slots[0]], weight64,
-                                     image, path, mode="blas")
-                _fused_tail(image, bound.output, constants)
-                env[bound.output_slot] = bound.output
-
-            impls = {"blas": run_blas, "int": run_int}
-            default = "blas"
-            if f32_ok:
-                geometry32 = ConvGeometry.from_module(
-                    n, c_in, h, w, self.out_channels, self.kernel_size, self.stride,
-                    self.padding, self.groups, dtype=np.float32, scratch=ctx.scratch)
-                image32 = ctx.scratch(("dw_image",), geometry.output_shape, np.float32)
-                constants32 = _f32_constants(constants)
-                tape_info.update(geometry32=geometry32, image32=image32,
-                                 constants_img32=constants32)
-
-                def run_blas32(bound, env):
-                    depthwise_accumulate(geometry32, env[bound.input_slots[0]], weight32,
-                                         image32, path, mode="blas")
-                    _fused_tail(image32, bound.output, constants32)
-                    env[bound.output_slot] = bound.output
-
-                impls["blas32"] = run_blas32
-
-        class Bound(_TunableBound):
-            _impls = impls
-            _default = default
-            _tape = tape_info
-
-        return Bound
-
-    def _bind_im2col(self, geometry, constants, ctx, f32_ok):
-        g, n = self.groups, geometry.batch
-        og = self.out_channels // g
-        oh, ow = geometry.out_height, geometry.out_width
-        m = n * oh * ow
-        weight64, weight32 = self.packed["f64"], self.packed["f32"]
-        acc = ctx.scratch(("conv_acc",), (g, m, og))
-        constants_img = constants
-        if constants["bias_addend"] is not None:
-            constants = dict(constants)
-            constants["bias_addend"] = constants["bias_addend"].reshape(g, 1, og)
-            constants_img = dict(constants_img)
-            constants_img["bias_addend"] = \
-                constants_img["bias_addend"].reshape(1, -1, 1, 1)
-
-        def run_int(bound, env):
-            cols = geometry.fill_columns(env[bound.input_slots[0]])
-            acc[...] = np.einsum("gmk,gko->gmo", cols.astype(np.int64),
-                                 weight64.astype(np.int64), optimize=True)
-            _conv_epilogue(acc, bound.output, constants, g, n, og, oh, ow)
-            env[bound.output_slot] = bound.output
-
-        impls = {"int": run_int}
-        default = "int"
-        tape_info = dict(kind="conv", step=self, geometry=geometry, geometry32=None,
-                         constants_img=constants_img, constants_img32=None,
-                         f32_ok=f32_ok, groups=g, grouped=g > 1,
-                         image=None, image32=None, weight64=None, weight32=None,
-                         path4=None, path5=None)
-        if ctx.accumulate == "blas":
-            def run_blas(bound, env):
-                cols = geometry.fill_columns(env[bound.input_slots[0]])
-                np.matmul(cols, weight64, out=acc)
-                _conv_epilogue(acc, bound.output, constants, g, n, og, oh, ow)
-                env[bound.output_slot] = bound.output
-
-            impls = {"blas": run_blas, "int": run_int}
-            default = "blas"
-            geometry32 = None
-            if f32_ok:
-                geometry32 = ConvGeometry.from_module(
-                    n, geometry.in_channels, geometry.height, geometry.width,
-                    self.out_channels, self.kernel_size, self.stride, self.padding,
-                    self.groups, dtype=np.float32, scratch=ctx.scratch)
-                acc32 = ctx.scratch(("conv_acc",), (g, m, og), np.float32)
-                constants32 = _f32_constants(constants)
-                tape_info.update(geometry32=geometry32,
-                                 constants_img32=_f32_constants(constants_img))
-
-                def run_blas32(bound, env):
-                    cols = geometry32.fill_columns(env[bound.input_slots[0]])
-                    np.matmul(cols, weight32, out=acc32)
-                    _conv_epilogue(acc32, bound.output, constants32, g, n, og, oh, ow)
-                    env[bound.output_slot] = bound.output
-
-                impls["blas32"] = run_blas32
-            if g == 1:
-                # Window-view einsum: contract the strided (N,C,OH,OW,KH,KW)
-                # view against (O,C,KH,KW) weights straight into NCHW — no
-                # explicit im2col copy, no accumulator transpose.  Wins at
-                # small channel counts; the autotuner arbitrates per layer.
-                w4_64 = self.packed["w4_f64"]
-                probe = geometry.windows(
-                    np.zeros((n, geometry.in_channels, geometry.height,
-                              geometry.width)))
-                path = np.einsum_path("nchwij,ocij->nohw", probe, w4_64,
-                                      optimize=True)[0]
-                image = ctx.scratch(("conv_image",), geometry.output_shape)
-                tape_info.update(image=image, weight64=w4_64, path4=path)
-
-                def run_wingemm(bound, env):
-                    windows = geometry.windows(env[bound.input_slots[0]])
-                    np.einsum("nchwij,ocij->nohw", windows, w4_64, out=image,
-                              optimize=path)
-                    _fused_tail(image, bound.output, constants_img)
-                    env[bound.output_slot] = bound.output
-
-                impls["wingemm"] = run_wingemm
-                if f32_ok:
-                    w4_32 = self.packed["w4_f32"]
-                    image32 = ctx.scratch(("conv_image",), geometry.output_shape,
-                                          np.float32)
-                    constants_img32 = _f32_constants(constants_img)
-                    tape_info.update(image32=image32, weight32=w4_32,
-                                     constants_img32=constants_img32)
-
-                    def run_wingemm32(bound, env):
-                        windows = geometry32.windows(env[bound.input_slots[0]])
-                        np.einsum("nchwij,ocij->nohw", windows, w4_32, out=image32,
-                                  optimize=path)
-                        _fused_tail(image32, bound.output, constants_img32)
-                        env[bound.output_slot] = bound.output
-
-                    impls["wingemm32"] = run_wingemm32
-            else:
-                # Grouped (non-depthwise) window-view einsum: splitting the
-                # window view's channel axis into (G, Cg) is stride-free, so
-                # each group contracts against its (Og, Cg, KH, KW) filter
-                # block straight into the grouped NCHW output — no im2col
-                # copy, no group-major accumulator transpose.  This was the
-                # last conv family without a window-einsum variant.
-                w5_64 = self.packed["w5_f64"]
-                cg = geometry.in_channels // g
-                kh, kw = geometry.kernel
-                probe = geometry.windows(
-                    np.zeros((n, geometry.in_channels, geometry.height,
-                              geometry.width)))
-                probe5 = probe.reshape(n, g, cg, oh, ow, kh, kw)
-                path5 = np.einsum_path("ngchwij,gocij->ngohw", probe5, w5_64,
-                                       optimize=True)[0]
-                image = ctx.scratch(("conv_image",), geometry.output_shape)
-                tape_info.update(image=image, weight64=w5_64, path5=path5)
-
-                def run_wingemm(bound, env):
-                    windows = geometry.windows(env[bound.input_slots[0]])
-                    win5 = windows.reshape(n, g, cg, oh, ow, kh, kw)
-                    np.einsum("ngchwij,gocij->ngohw", win5, w5_64,
-                              out=image.reshape(n, g, og, oh, ow), optimize=path5)
-                    _fused_tail(image, bound.output, constants_img)
-                    env[bound.output_slot] = bound.output
-
-                impls["wingemm"] = run_wingemm
-                if f32_ok:
-                    w5_32 = self.packed["w5_f32"]
-                    image32 = ctx.scratch(("conv_image",), geometry.output_shape,
-                                          np.float32)
-                    constants_img32 = _f32_constants(constants_img)
-                    tape_info.update(image32=image32, weight32=w5_32,
-                                     constants_img32=constants_img32)
-
-                    def run_wingemm32(bound, env):
-                        windows = geometry32.windows(env[bound.input_slots[0]])
-                        win5 = windows.reshape(n, g, cg, oh, ow, kh, kw)
-                        np.einsum("ngchwij,gocij->ngohw", win5, w5_32,
-                                  out=image32.reshape(n, g, og, oh, ow),
-                                  optimize=path5)
-                        _fused_tail(image32, bound.output, constants_img32)
-                        env[bound.output_slot] = bound.output
-
-                    impls["wingemm32"] = run_wingemm32
-
-        class Bound(_TunableBound):
-            _impls = impls
-            _default = default
-            _tape = tape_info
-
-        return Bound
+        shape = geometry64.output_shape
+        out = ctx.pool.acquire(shape, _out_dtype(constants))
+        lanes = [_Lane(self.packed["f64"], ctx.scratch(("conv_image",), shape),
+                       constants, geometry=geometry64)]
+        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
+            lanes.append(_Lane(self.packed["f32"],
+                               ctx.scratch(("conv_image",), shape, np.float32),
+                               _f32_constants(constants), geometry=geometry(np.float32)))
+        return partial(_BoundKernel, lanes=lanes), shape, constants["out_meta"], out
 
 
 class _PointwiseConvStep(_ComputeStep):
@@ -875,6 +541,12 @@ class _PointwiseConvStep(_ComputeStep):
                 and _normalize_pair(src.kernel_size) == (1, 1)
                 and _normalize_pair(src.padding) == (0, 0))
 
+    @property
+    def subsample(self) -> tuple[int, int] | None:
+        """Spatial stride of the 1x1 conv; ``None`` when it reads every pixel."""
+        stride = _normalize_pair(self.stride)
+        return stride if stride != (1, 1) else None
+
     def prepack(self) -> int:
         packed = np.ascontiguousarray(
             self.weight_codes.reshape(self.out_channels, -1).astype(np.float64))
@@ -885,79 +557,31 @@ class _PointwiseConvStep(_ComputeStep):
         return super().describe() + ", pointwise-gemm[no-im2col]"
 
     def bind(self, values, ctx):
-        if not self.packed:
-            self.prepack()
         (x,) = values
         n, c_in, h, w = x.shape
-        sh, sw = _normalize_pair(self.stride)
+        sh, sw = self.subsample or (1, 1)
         oh, ow = (h - 1) // sh + 1, (w - 1) // sw + 1
         out_shape = (n, self.out_channels, oh, ow)
-        subsample = (sh, sw) if (sh, sw) != (1, 1) else None
-        constants = _augment_tail(self._tail_constants(
+        gemm_shape = (n, self.out_channels, oh * ow)
+        constants = self._tail_constants(
             x.meta, k_per_output=c_in,
-            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)),
-        ), self.accumulator_bound)
+            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
         if constants["bias_addend"] is not None:
-            constants = dict(constants)
             constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1)
-        out = ctx.pool.acquire(out_shape, _out_dtype(constants, ctx))
-        out_gemm = out.reshape(n, self.out_channels, oh * ow)
+        out = ctx.pool.acquire(out_shape, _out_dtype(constants))
         # The GEMM may only target the output buffer directly when its lanes
         # are float64 — the raw accumulator can exceed the float32 range.
-        acc = (out_gemm if out.dtype == np.float64
-               else ctx.scratch(("pw_acc64",), (n, self.out_channels, oh * ow)))
-        weight64, weight32 = self.packed["f64"], self.packed["f32"]
-        staging64 = (ctx.scratch(("pw_staging",), (n, c_in, oh, ow))
-                     if subsample is not None else None)
-        f32_ok = _f32_exact(constants, self.accumulator_bound, x.meta.max_abs)
-
-        def run_int(bound, env):
-            pointwise_accumulate(env[bound.input_slots[0]], weight64, acc,
-                                 staging=staging64, subsample=subsample, mode="int")
-            _fused_tail(acc, out_gemm, constants)
-            env[bound.output_slot] = bound.output
-
-        impls = {"int": run_int}
-        default = "int"
-        tape_info = dict(kind="pw", step=self, acc=acc, acc32=None,
-                         out_gemm=out_gemm, staging64=staging64, staging32=None,
-                         weight64=weight64, weight32=weight32,
-                         constants=constants, constants32=None,
-                         subsample=subsample, f32_ok=f32_ok)
-        if ctx.accumulate == "blas":
-            def run_blas(bound, env):
-                # The GEMM writes the output layout directly; the epilogue
-                # then runs (in place when acc is the output buffer).
-                pointwise_accumulate(env[bound.input_slots[0]], weight64, acc,
-                                     staging=staging64, subsample=subsample, mode="blas")
-                _fused_tail(acc, out_gemm, constants)
-                env[bound.output_slot] = bound.output
-
-            impls = {"blas": run_blas, "int": run_int}
-            default = "blas"
-            if f32_ok:
-                staging32 = ctx.scratch(("pw_staging",), (n, c_in, oh, ow), np.float32)
-                acc32 = ctx.scratch(("pw_acc",), (n, self.out_channels, oh * ow),
-                                    np.float32)
-                constants32 = _f32_constants(constants)
-                tape_info.update(acc32=acc32, staging32=staging32,
-                                 constants32=constants32)
-
-                def run_blas32(bound, env):
-                    pointwise_accumulate(env[bound.input_slots[0]], weight32, acc32,
-                                         staging=staging32, subsample=subsample,
-                                         mode="blas")
-                    _fused_tail(acc32, out_gemm, constants32)
-                    env[bound.output_slot] = bound.output
-
-                impls["blas32"] = run_blas32
-
-        class Bound(_TunableBound):
-            _impls = impls
-            _default = default
-            _tape = tape_info
-
-        return Bound, out_shape, constants["out_meta"], out
+        acc = (out.reshape(gemm_shape) if out.dtype == np.float64
+               else ctx.scratch(("pw_acc",), gemm_shape))
+        staging = (ctx.scratch(("pw_staging",), (n, c_in, oh, ow))
+                   if self.subsample is not None else None)
+        lanes = [_Lane(self.packed["f64"], acc, constants, staging=staging)]
+        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
+            lanes.append(_Lane(
+                self.packed["f32"], ctx.scratch(("pw_acc",), gemm_shape, np.float32),
+                _f32_constants(constants),
+                staging=ctx.scratch(("pw_staging",), (n, c_in, oh, ow), np.float32)))
+        return partial(_BoundKernel, lanes=lanes), out_shape, constants["out_meta"], out
 
 
 class _FusedLinearStep(_ComputeStep):
@@ -983,174 +607,25 @@ class _FusedLinearStep(_ComputeStep):
         return super().describe() + ", fused-epilogue[gemm]"
 
     def bind(self, values, ctx):
-        if not self.packed:
-            self.prepack()
         (x,) = values
         if len(x.shape) != 2 or x.shape[1] != self.in_features:
             raise PlanError(f"{self.name}: expected input (N, {self.in_features}), "
                             f"got {x.shape}")
-        n = x.shape[0]
-        constants = _augment_tail(self._tail_constants(
+        shape = (x.shape[0], self.out_features)
+        constants = self._tail_constants(
             x.meta, k_per_output=self.in_features,
-            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)),
-        ), self.accumulator_bound)
+            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
         if constants["bias_addend"] is not None:
-            constants = dict(constants)
             constants["bias_addend"] = constants["bias_addend"].reshape(1, -1)
-        out = ctx.pool.acquire((n, self.out_features), _out_dtype(constants, ctx))
-        acc = (out if out.dtype == np.float64
-               else ctx.scratch(("fc_acc64",), (n, self.out_features)))
-        weight64, weight32 = self.packed["f64"], self.packed["f32"]
-        f32_ok = _f32_exact(constants, self.accumulator_bound, x.meta.max_abs)
-
-        def run_int(bound, env):
-            acc[...] = (env[bound.input_slots[0]].astype(np.int64)
-                        @ weight64.astype(np.int64))
-            _fused_tail(acc, out, constants)
-            env[bound.output_slot] = bound.output
-
-        impls = {"int": run_int}
-        default = "int"
-        tape_info = dict(kind="fc", step=self, acc=acc, acc32=None,
-                         staging32=None, weight64=weight64, weight32=weight32,
-                         constants=constants, constants32=None, f32_ok=f32_ok)
-        if ctx.accumulate == "blas":
-            def run_blas(bound, env):
-                np.matmul(env[bound.input_slots[0]], weight64, out=acc)
-                _fused_tail(acc, out, constants)
-                env[bound.output_slot] = bound.output
-
-            impls = {"blas": run_blas, "int": run_int}
-            default = "blas"
-            if f32_ok:
-                staging32 = ctx.scratch(("fc_staging",), (n, self.in_features),
-                                        np.float32)
-                acc32 = ctx.scratch(("fc_acc",), (n, self.out_features), np.float32)
-                constants32 = _f32_constants(constants)
-                tape_info.update(acc32=acc32, staging32=staging32,
-                                 constants32=constants32)
-
-                def run_blas32(bound, env):
-                    np.copyto(staging32, env[bound.input_slots[0]])
-                    np.matmul(staging32, weight32, out=acc32)
-                    _fused_tail(acc32, out, constants32)
-                    env[bound.output_slot] = bound.output
-
-                impls["blas32"] = run_blas32
-
-        class Bound(_TunableBound):
-            _impls = impls
-            _default = default
-            _tape = tape_info
-
-        return Bound, (n, self.out_features), constants["out_meta"], out
-
-
-class _FusedActivationStep:
-    """Wrapper folding a standalone ReLU/ReLU6 step into its producer.
-
-    The activation is applied to the producer's *output codes* after its own
-    pipeline runs — exactly what the standalone step computed, minus the
-    extra buffer, the full-tensor copy and the step dispatch.  Requantize is
-    monotone with ``0 -> 0`` and the ReLU6 clip lands on the integer grid
-    (checked at bind, as the standalone step did), so the fold is bit-exact.
-    """
-
-    def __init__(self, inner, act_op: str) -> None:
-        self.inner = inner
-        self.fused_activation = "relu6" if act_op == OpKind.RELU6 else "relu"
-
-    # The wrapper impersonates its producer in the plan listing.
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def op(self) -> str:
-        return self.inner.op
-
-    @property
-    def inputs(self) -> list[str]:
-        return self.inner.inputs
-
-    @property
-    def alias(self) -> bool:
-        return self.inner.alias
-
-    def __getattr__(self, attr):
-        # Manifest/summary introspection (weight_codes, accumulator_bound...).
-        # Raise for 'inner' itself and dunders: during unpickling this method
-        # runs before __dict__ is restored, and delegating then would recurse.
-        if attr == "inner" or attr.startswith("__"):
-            raise AttributeError(attr)
-        return getattr(self.inner, attr)
-
-    def describe(self) -> str:
-        return self.inner.describe() + f", +{self.fused_activation}[fused]"
-
-    def bind(self, values, ctx):
-        inner_cls, shape, meta, buffer = self.inner.bind(values, ctx)
-        activation = self.fused_activation
-        bound = (_relu6_bound(meta.fraction, meta.divisor, self.name)
-                 if activation == "relu6" else None)
-
-        class Bound(inner_cls):
-            def run(self, env):
-                super().run(env)
-                _apply_activation(env[self.output_slot], activation, bound)
-
-        return Bound, shape, meta, buffer
-
-
-# ---------------------------------------------------------------------- #
-# Autotuner
-# ---------------------------------------------------------------------- #
-def autotune_engine(engine: CompiledEngine, repeats: int = 7) -> dict[str, str]:
-    """Micro-profile every tunable step's kernel variants in place.
-
-    One full forward pass populates the environment so each step sees real
-    buffer shapes; every variant is then timed in isolation (all variants
-    are bit-exact, so re-running a step never corrupts downstream inputs).
-    The variants' timing rounds are interleaved (A B C, A B C, ...) and the
-    per-variant minimum taken, so a transient host stall cannot doom one
-    candidate.  Returns the winning variant per step name and leaves the
-    engine running the winners.
-    """
-    PIPELINE_COUNTERS.autotune_runs += 1
-    probe = np.zeros(engine.input_shape)
-    engine.run(probe)
-    env = engine._env
-    choices: dict[str, str] = {}
-    for bound in engine.steps:
-        if not (isinstance(bound, _TunableBound) and bound.tunable):
-            continue
-        elapsed = {variant: float("inf") for variant in bound.variants}
-        for variant in bound.variants:      # warm every variant's buffers
-            bound.set_variant(variant)
-            bound.run(env)
-        for _ in range(repeats):
-            for variant in bound.variants:
-                bound.set_variant(variant)
-                elapsed[variant] = min(elapsed[variant], _timed_run(bound, env))
-        winner = min(elapsed, key=elapsed.get)
-        bound.set_variant(winner)
-        choices[bound.step.name] = winner
-    return choices
-
-
-def _timed_run(bound, env) -> float:
-    start = time.perf_counter()
-    bound.run(env)
-    return time.perf_counter() - start
-
-
-def apply_kernel_choices(engine: CompiledEngine, choices: dict[str, str]) -> None:
-    """Apply cached autotune decisions to a freshly bound engine."""
-    for bound in engine.steps:
-        choice = choices.get(bound.step.name)
-        if (choice is not None and isinstance(bound, _TunableBound)
-                and choice in bound.variants):
-            bound.set_variant(choice)
+        out = ctx.pool.acquire(shape, _out_dtype(constants))
+        acc = out if out.dtype == np.float64 else ctx.scratch(("fc_acc",), shape)
+        lanes = [_Lane(self.packed["f64"], acc, constants)]
+        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
+            lanes.append(_Lane(
+                self.packed["f32"], ctx.scratch(("fc_acc",), shape, np.float32),
+                _f32_constants(constants),
+                staging=ctx.scratch(("fc_staging",), x.shape, np.float32)))
+        return partial(_BoundKernel, lanes=lanes), shape, constants["out_meta"], out
 
 
 # ---------------------------------------------------------------------- #
@@ -1160,30 +635,30 @@ def apply_kernel_choices(engine: CompiledEngine, choices: dict[str, str]) -> Non
 class OptimizedPlan(ExecutionPlan):
     """An execution plan rewritten by the optimizer pass pipeline.
 
-    Binding autotunes the kernel variants once (when ``autotune`` is set and
-    the accumulation backend is BLAS) and caches the winning choices on the
-    plan, so shard engines and rebinds skip the micro-profiling.
+    It executes only as a tape in the exact BLAS lanes.  The first bind
+    autotunes the tape's kernel variants (when ``autotune`` is set) and
+    caches the winners in :attr:`kernel_choices`; later binds and loaded
+    artifacts reapply them without profiling.
     """
 
     report: OptimizationReport | None = None
     autotune: bool = True
     kernel_choices: dict[str, str] | None = None
-    #: tape-level kernel choices (the instruction program's macro-kernel
-    #: variants, a superset of the step-level ones — e.g. ``stackgemm``);
-    #: cached on first tape compile and persisted in plan artifacts.
-    tape_kernel_choices: dict[str, str] | None = None
 
-    def bind(self, input_shape, accumulate: str = "blas",
-             reuse_buffers: bool = True, mode: str = "tape",
+    @property
+    def tape_kernel_choices(self) -> dict[str, str] | None:
+        """Read-only alias of :attr:`kernel_choices`, which the frozen
+        ``benchmarks/e2e`` probe still reads under this name."""
+        return self.kernel_choices
+
+    def bind(self, input_shape, accumulate: str = "blas", mode: str = "tape",
              fuse: bool = True) -> CompiledEngine:
-        engine = super().bind(input_shape, accumulate=accumulate,
-                              reuse_buffers=reuse_buffers, mode=mode, fuse=fuse)
-        if accumulate == "blas":
-            if self.kernel_choices is not None:
-                apply_kernel_choices(engine, self.kernel_choices)
-            elif self.autotune:
-                self.kernel_choices = autotune_engine(engine)
-        return engine
+        if accumulate != "blas" or mode != "tape":
+            raise ValueError(
+                f"an optimized plan executes only as a tape in the BLAS lanes, got "
+                f"accumulate={accumulate!r}, mode={mode!r}; int64 accumulation and the "
+                f"step interpreter are the oracle — lower with optimize=False")
+        return super().bind(input_shape, fuse=fuse)
 
     def manifest(self) -> dict:
         data = super().manifest()
@@ -1191,16 +666,13 @@ class OptimizedPlan(ExecutionPlan):
             data["optimizer"] = self.report.to_dict()
         if self.kernel_choices is not None:
             data["kernel_choices"] = dict(self.kernel_choices)
-        if getattr(self, "tape_kernel_choices", None) is not None:
-            data["tape_kernel_choices"] = dict(self.tape_kernel_choices)
         return data
 
 
-def _rewrite_compute_steps(steps: list, report: OptimizationReport,
-                           pointwise: bool = True) -> list:
+def _rewrite_compute_steps(steps: list, report: OptimizationReport) -> list:
     out = []
     for step in steps:
-        if pointwise and _PointwiseConvStep.eligible(step):
+        if _PointwiseConvStep.eligible(step):
             step = _PointwiseConvStep(step)
             report.pointwise_lowered += 1
         elif isinstance(step, _ConvStep):
@@ -1216,38 +688,7 @@ def _rewrite_compute_steps(steps: list, report: OptimizationReport,
     return out
 
 
-def _fuse_standalone_activations(steps: list, output_name: str,
-                                 report: OptimizationReport) -> tuple[list, str]:
-    consumers: dict[str, int] = {output_name: 1}
-    for step in steps:
-        for name in step.inputs:
-            consumers[name] = consumers.get(name, 0) + 1
-    index_of: dict[str, int] = {}
-    rename: dict[str, str] = {}
-    out: list = []
-    for step in steps:
-        inputs = [rename.get(name, name) for name in step.inputs]
-        producer_index = index_of.get(inputs[0]) if inputs else None
-        if (isinstance(step, _ActivationOnlyStep) and len(inputs) == 1
-                and consumers.get(inputs[0], 0) == 1
-                and producer_index is not None
-                and not out[producer_index].alias):
-            # Sole consumer of a non-alias producer: fold into it in place.
-            out[producer_index] = _FusedActivationStep(out[producer_index], step.op)
-            rename[step.name] = inputs[0]
-            report.activations_fused += 1
-            continue
-        if inputs != step.inputs:
-            step = copy.copy(step)
-            step.inputs = inputs
-        index_of[step.name] = len(out)
-        out.append(step)
-    return out, rename.get(output_name, output_name)
-
-
-def optimize_plan(plan: ExecutionPlan, *, fuse_activations: bool = True,
-                  eliminate_im2col: bool = True, prepack: bool = True,
-                  autotune: bool = True) -> OptimizedPlan:
+def optimize_plan(plan: ExecutionPlan, *, autotune: bool = True) -> OptimizedPlan:
     """Run the optimization pass pipeline over a lowered plan.
 
     Returns a new :class:`OptimizedPlan`; the input plan is left untouched
@@ -1256,29 +697,14 @@ def optimize_plan(plan: ExecutionPlan, *, fuse_activations: bool = True,
     """
     PIPELINE_COUNTERS.optimizations += 1
     report = OptimizationReport()
-    steps = list(plan.steps)
-    output_name = plan.output_name
-
-    report.passes.append("fuse_compute_epilogues")
-    steps = _rewrite_compute_steps(steps, report, pointwise=eliminate_im2col)
-    if eliminate_im2col:
-        report.passes.append("eliminate_im2col")
-
-    if fuse_activations:
-        report.passes.append("fuse_standalone_activations")
-        steps, output_name = _fuse_standalone_activations(steps, output_name, report)
-
-    if prepack:
-        report.passes.append("prepack_weights")
-        for step in steps:
-            target = step.inner if isinstance(step, _FusedActivationStep) else step
-            if hasattr(target, "prepack"):
-                report.prepacked_bytes += target.prepack()
-                report.prepacked_steps += 1
-
+    report.passes += ["fuse_compute_epilogues", "eliminate_im2col", "prepack_weights"]
+    steps = _rewrite_compute_steps(plan.steps, report)
+    for step in steps:
+        if hasattr(step, "prepack"):
+            report.prepacked_bytes += step.prepack()
+            report.prepacked_steps += 1
     if autotune:
         report.passes.append("autotune_backends")
-
     return OptimizedPlan(graph_name=plan.graph_name, input_name=plan.input_name,
-                         output_name=output_name, steps=steps, report=report,
+                         output_name=plan.output_name, steps=steps, report=report,
                          autotune=autotune)

@@ -89,10 +89,10 @@ def check_engine_parity(graph: GraphIR, engine: CompiledEngine,
 def check_plan_parity(baseline, candidate, batches: list[np.ndarray]) -> ParityReport:
     """Compare two engine-like executors code-for-code on the same batches.
 
-    This is the optimizer's acceptance gate: an optimized plan (or a sharded
-    / branch-parallel executor) must reproduce the unoptimized engine's
-    output codes *exactly* on every input.  Both arguments just need the
-    ``run(batch) -> EngineOutput`` interface; their output scales must agree.
+    This is the optimizer's acceptance gate: an optimized plan's tape must
+    reproduce the oracle engine's output codes *exactly* on every input.
+    Both arguments just need the ``run(batch) -> EngineOutput`` interface;
+    their output scales must agree.
     """
     if (baseline.output_meta.fraction != candidate.output_meta.fraction
             or baseline.output_meta.divisor != candidate.output_meta.divisor):

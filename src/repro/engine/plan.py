@@ -206,11 +206,10 @@ class _BoundValue:
 
 
 class _BindContext:
-    def __init__(self, pool: _BufferPool, accumulate: str,
-                 share_scratch: bool = True) -> None:
+    def __init__(self, pool: _BufferPool, accumulate: str) -> None:
         self.pool = pool
         self.accumulate = accumulate
-        self._scratch: dict | None = {} if share_scratch else None
+        self._scratch: dict = {}
 
     def scratch(self, key, shape: tuple[int, ...], dtype=np.float64,
                 zero: bool = False) -> np.ndarray:
@@ -223,16 +222,9 @@ class _BindContext:
         (never from the free list): their zeros must survive across passes,
         so they can never alias a recycled step-output buffer.  Sharers of a
         zeroed buffer must key on everything that determines which region
-        they overwrite (e.g. the padded-input interior).  When sharing is
-        disabled (branch-parallel execution), every request gets a private
-        buffer.
+        they overwrite (e.g. the padded-input interior).
         """
         shape = tuple(int(s) for s in shape)
-        if self._scratch is None:
-            buffer = self.pool.acquire(shape, dtype, fresh=zero)
-            if zero:
-                buffer[...] = 0
-            return buffer
         full_key = (key, shape, np.dtype(dtype))
         buffer = self._scratch.get(full_key)
         if buffer is None:
@@ -872,18 +864,20 @@ def lower_graph(graph: GraphIR) -> "ExecutionPlan":
 # ---------------------------------------------------------------------- #
 @dataclass(frozen=True)
 class StepTiming:
-    """Mean wall time of one plan step inside a profiled forward pass."""
+    """Mean wall time of one plan step (or tape instruction) inside a
+    profiled forward pass."""
 
     name: str
-    op: str
+    op: str                      # plan op, or the instruction kind on a tape
     mean_ms: float
     share: float                 # fraction of the total per-pass time
-    variant: str | None = None   # kernel variant, when the step is tunable
+    variant: str | None = None   # chosen kernel variant of a tunable tape group
 
 
 @dataclass(frozen=True)
 class PlanProfile:
-    """Per-step timing breakdown of a compiled engine (``engine.profile()``)."""
+    """Per-step (or per-instruction) timing breakdown of a compiled engine
+    (``engine.profile()``)."""
 
     graph_name: str
     input_shape: tuple[int, ...]
@@ -937,24 +931,23 @@ class ExecutionPlan:
     steps: list = field(default_factory=list)
 
     def bind(self, input_shape: tuple[int, ...], accumulate: str = "blas",
-             reuse_buffers: bool = True, mode: str = "tape",
-             fuse: bool = True) -> "CompiledEngine":
+             mode: str = "tape", fuse: bool = True) -> "CompiledEngine":
         """Bind the plan to a concrete input shape.
 
         Infers shapes and value metadata, stages weights for the requested
         accumulation backend (``"blas"`` exact float64 lanes or ``"int"``
         pure int64), verifies accumulator ranges, and assigns every step an
-        output buffer with linear-scan reuse.  ``reuse_buffers=False`` gives
-        every step a private output buffer and private scratch — required
-        when steps may execute concurrently (branch-parallel engines).
+        output buffer with linear-scan reuse.
 
         ``mode`` selects the execution path of :meth:`CompiledEngine.run`:
         ``"tape"`` (default) compiles the bound steps into a flat instruction
         program with fused elementwise chains
         (:mod:`repro.engine.program`); ``"steps"`` keeps the per-step
-        interpreter as the bit-exact reference path.  ``fuse=False``
-        disables the tape's elementwise-chain elimination (for A/B
-        benchmarking); both settings are bit-exact.
+        interpreter — with ``accumulate="int"`` the oracle every other
+        executor is checked against.  ``fuse=False`` disables the tape's
+        elementwise-chain elimination (for A/B benchmarking); both settings
+        are bit-exact.  An :class:`~repro.engine.optimizer.OptimizedPlan`
+        accepts only the defaults: it executes only as a BLAS-lane tape.
         """
         if accumulate not in ("blas", "int"):
             raise ValueError(f"unknown accumulation mode {accumulate!r}")
@@ -963,7 +956,7 @@ class ExecutionPlan:
                              f"expected 'tape' or 'steps'")
         input_shape = tuple(int(s) for s in input_shape)
         pool = _BufferPool()
-        ctx = _BindContext(pool, accumulate, share_scratch=reuse_buffers)
+        ctx = _BindContext(pool, accumulate)
 
         slots = {self.input_name: 0}
         for i, step in enumerate(self.steps):
@@ -1005,26 +998,23 @@ class ExecutionPlan:
             bound_steps.append(bound)
             values[step.name] = _BoundValue(slot=slots[step.name], shape=out_shape,
                                             meta=out_meta)
-            if reuse_buffers:
-                for k, last in list(last_use.items()):
-                    if last == i and k in buffers:
-                        pool.release(buffers.pop(k))
+            for k, last in list(last_use.items()):
+                if last == i and k in buffers:
+                    pool.release(buffers.pop(k))
         output_value = values[self.output_name]
         engine = CompiledEngine(plan=self, steps=bound_steps, input_shape=input_shape,
                                 output_slot=output_value.slot, output_shape=output_value.shape,
                                 output_meta=output_value.meta, slot_count=len(self.steps) + 1,
                                 pool=pool, accumulate=accumulate, mode=mode, fuse=fuse)
         if mode == "tape":
-            # Compile (and, on a plan's first bind, autotune) the tape
-            # eagerly: serving never pays it mid-stream, and shard engines
-            # built on worker threads reuse the plan's cached choices
-            # race-free.
+            # Compile (and, on an optimized plan's first bind, autotune) the
+            # tape eagerly: serving never pays it mid-stream.
             engine._ensure_tape()
         return engine
 
     def profile(self, input_shape: tuple[int, ...], accumulate: str = "blas",
                 repeats: int = 5, x: np.ndarray | None = None) -> PlanProfile:
-        """Bind the plan and return a per-step timing breakdown.
+        """Bind the plan and return its executor's timing breakdown.
 
         Convenience wrapper over :meth:`CompiledEngine.profile`; reuse an
         existing engine's ``profile()`` to avoid the throwaway bind.
@@ -1045,10 +1035,6 @@ class ExecutionPlan:
         weight_bytes = 0
         for step in self.steps:
             entry: dict = {"name": step.name, "op": step.op, "detail": step.describe()}
-            # Optimizer wrappers (fused activations) impersonate their inner
-            # compute step; unwrap so the manifest keeps the weight rows.
-            while not isinstance(step, _ComputeStep) and hasattr(step, "inner"):
-                step = step.inner
             if isinstance(step, _ComputeStep):
                 entry.update({
                     "weight_dtype": str(step.weight_codes.dtype),
@@ -1154,34 +1140,49 @@ class CompiledEngine:
                             divisor=self.output_meta.divisor)
 
     def profile(self, x: np.ndarray | None = None, repeats: int = 5,
-                warmup: int = 1) -> PlanProfile:
-        """Per-step wall-time breakdown over ``repeats`` full forward passes.
+                warmup: int = 1, level: str | None = None) -> PlanProfile:
+        """Wall-time breakdown of the executor this engine runs.
 
-        Steps execute in plan order on the real environment, so every step
-        sees its true input; only the timing instrumentation is added.  This
-        is the signal the backend autotuner consumes and the first place to
-        look when deciding which op to optimize next.
+        A tape-mode engine reports its tape: one row per instruction (fused
+        elementwise chains are single ``chain`` rows), each carrying the
+        kernel variant its tunable group resolved to — what the wall clock
+        really pays per pass.  A steps-mode engine reports one row per plan
+        step, executed in plan order on the real environment.  ``level``
+        overrides the choice (``"tape"`` | ``"steps"``); the step
+        interpreter only runs reference plans.
         """
+        level = self.mode if level is None else level
+        if level not in ("steps", "tape"):
+            raise ValueError(f"level must be 'steps' or 'tape', got {level!r}")
         if x is None:
             x = np.zeros(self.input_shape)
         x = self._check_input(x)
-        env = self._env
-        totals = [0.0] * len(self.steps)
-        for pass_index in range(warmup + repeats):
-            env[0] = x
-            for i, step in enumerate(self.steps):
-                start = time.perf_counter()
-                step.run(env)
-                elapsed = time.perf_counter() - start
-                if pass_index >= warmup:
-                    totals[i] += elapsed
-        total = sum(totals) or 1.0
-        timings = [
-            StepTiming(name=bound.step.name, op=bound.step.op,
-                       mean_ms=t / repeats * 1e3, share=t / total,
-                       variant=getattr(bound, "variant", None))
-            for bound, t in zip(self.steps, totals)
-        ]
+        if level == "tape":
+            if self.mode != "tape":
+                raise ValueError("level='tape' requires a tape-mode engine "
+                                 "(compile with runtime mode='tape')")
+            tape = self._ensure_tape()
+            np.copyto(tape.input_buffer, x)
+            choices = tape.choices()
+            rows = [(name, kind, seconds, choices.get(name))
+                    for name, kind, seconds in tape.profile(repeats=repeats)]
+        else:
+            env = self._env
+            totals = [0.0] * len(self.steps)
+            for pass_index in range(warmup + repeats):
+                env[0] = x
+                for i, step in enumerate(self.steps):
+                    start = time.perf_counter()
+                    step.run(env)
+                    elapsed = time.perf_counter() - start
+                    if pass_index >= warmup:
+                        totals[i] += elapsed
+            rows = [(bound.step.name, bound.step.op, t / repeats, None)
+                    for bound, t in zip(self.steps, totals)]
+        total = sum(seconds for _, _, seconds, _ in rows) or 1.0
+        timings = [StepTiming(name=name, op=op, mean_ms=seconds * 1e3,
+                              share=seconds / total, variant=variant)
+                   for name, op, seconds, variant in rows]
         return PlanProfile(graph_name=self.plan.graph_name, input_shape=self.input_shape,
                            repeats=repeats, steps=timings,
                            total_ms=sum(t.mean_ms for t in timings))

@@ -14,18 +14,19 @@ arena:
 * each step's requantize/activation/copy epilogue is compiled by
   :class:`repro.engine.optimizer.ElementwiseChain` into a single composite
   instruction with provably-identity operations eliminated;
-* tunable compute steps carry several bit-exact macro-kernel variants —
-  the window-view einsums, the legacy im2col/BLAS closures, and the tape's
-  :class:`~repro.engine.kernels.StackedShiftGeometry` GEMM — arbitrated by
-  a tape-level autotuner whose choices are cached on the plan (and ride
-  along in plan artifacts, so loaded deployments re-profile nothing);
-* any step without a native emitter falls back to wrapping its bound
-  ``run(env)`` closure as one instruction, so every plan the interpreter
-  can execute compiles to a tape, bit-exactly.
+* the compute steps of an optimized plan carry several bit-exact
+  macro-kernel variants — the window-view einsums, the channel-axis and
+  linear GEMMs, and the :class:`~repro.engine.kernels.StackedShiftGeometry`
+  GEMM, each in float64 lanes and, where proven exact, float32 lanes —
+  arbitrated by the one autotuner (:meth:`TapeProgram.autotune`), whose
+  choices are cached on the plan and ride along in plan artifacts, so
+  loaded deployments re-profile nothing;
+* the compute steps of a *reference* plan have no emitter: each runs its
+  bound ``run(env)`` closure as one ``fallback`` instruction.
 
-The interpreter remains available as ``bind(..., mode="steps")`` — the
-reference path the parity suite checks the tape against on every registry
-model.
+The tape is the only executor of an optimized plan.  The step interpreter
+executes the reference plan (``bind(..., mode="steps")``) — the oracle the
+parity suite checks every optimized tape against on every registry model.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .kernels import (
 )
 from .optimizer import (
     ElementwiseChain,
-    _FusedActivationStep,
     _FusedConvStep,
     _FusedLinearStep,
     _maximum_into,
@@ -221,9 +221,10 @@ class TapeProgram:
 
         One full pass populates the staging buffers; each group's variants
         are then timed interleaved (A B C, A B C, ...) with the per-variant
-        minimum taken, exactly like the step-level autotuner.  All variants
-        are bit-exact, so re-running a group never corrupts downstream
-        state.  Losing variants' staging buffers are dropped afterwards.
+        minimum taken, so a transient host stall cannot doom one candidate.
+        All variants are bit-exact, so re-running a group never corrupts
+        downstream state.  Losing variants' staging buffers are dropped
+        afterwards.
         """
         PIPELINE_COUNTERS.tape_autotune_runs += 1
         self.execute()
@@ -267,8 +268,7 @@ class TapeProgram:
 # Emission context
 # ---------------------------------------------------------------------- #
 class _TapeBuild:
-    def __init__(self, engine, fuse: bool) -> None:
-        self.engine = engine
+    def __init__(self, fuse: bool) -> None:
         self.fuse = fuse
         self.arrays: dict[str, np.ndarray] = {}
         self.report = {
@@ -311,7 +311,7 @@ def _meta_bound(meta) -> float:
 
 
 # ---------------------------------------------------------------------- #
-# Native emitters for the cheap plan steps
+# Emitters for the cheap plan steps
 # ---------------------------------------------------------------------- #
 def _emit_reshape(step, bound, ctx: _TapeBuild):
     src = ctx.arrays[step.inputs[0]]
@@ -458,227 +458,135 @@ def _emit_global_avg_pool(step, bound, ctx: _TapeBuild):
 # ---------------------------------------------------------------------- #
 # Compute-step emission (tunable macro kernels + fused tails)
 # ---------------------------------------------------------------------- #
-def _wrapped_variant(name: str, step, bound, env, impl) -> list[Instr]:
-    """A legacy bound-step kernel variant wrapped as one tape instruction."""
-    return [Instr(step.name, step.op, f"legacy[{name}]", partial(impl, bound, env))]
+def _tail_instr(step, lane, dst: np.ndarray, ctx: _TapeBuild) -> Instr:
+    """The step's fused epilogue: ``lane.acc`` -> requantized codes in ``dst``."""
+    calls, _ = tail_chain(lane.constants, lane.acc, dst, fuse=ctx.fuse)
+    return Instr(step.name, step.op, "chain", _ops_runner(calls))
 
 
-def _stack_elements(geometry) -> int:
-    kh, kw = geometry.kernel
-    return (geometry.batch * kh * kw * geometry.in_channels
-            * geometry.out_height * geometry.out_width)
-
-
-def _emit_compute(step, bound, ctx: _TapeBuild, extra_activation=None,
-                  extra_relu6_bound=None):
-    info = getattr(bound, "_tape", None)
-    if info is None or ctx.engine.accumulate != "blas":
-        # Integer-backend engines (and unknown steps) run the reference
-        # closures verbatim via the fallback wrapper.
-        return None
-    x = ctx.arrays[step.inputs[0]]
-    out = bound.output
-    env = ctx.engine._env
-    fuse = ctx.fuse
-    kind = info["kind"]
-    builders: dict = {}
-
-    def chain_instr(name, calls):
-        return Instr(step.name, step.op, name, _ops_runner(calls))
-
-    def tail(constants, src, dst):
-        return tail_chain(constants, src, dst, src_mutable=True, fuse=fuse,
-                          extra_activation=extra_activation,
-                          extra_relu6_bound=extra_relu6_bound)[0]
-
-    if kind in ("dw", "conv"):
-        geometry = info["geometry"]
-
-        def make_einsum(g32: bool):
-            def build():
-                geo = info["geometry32"] if g32 else geometry
-                image = info["image32"] if g32 else info["image"]
-                constants = info["constants_img32" if g32 else "constants_img"]
-                weight = info["weight32"] if g32 else info["weight64"]
-                # Resolve the stable strided window view without running the
-                # staging fill (the input buffer holds garbage at compile
-                # time; filling would cast NaNs into the f32 staging).
-                kh, kw = geo.kernel
-                sh, sw = geo.stride
-                base = geo._padded if geo._padded is not None else x
-                win = sliding_window_view(base, (kh, kw),
-                                          axis=(2, 3))[:, :, ::sh, ::sw]
-                instrs: list[Instr] = []
-                if geo._padded is not None:
-                    ph, pw = geo.padding
-                    interior = geo._padded[:, :, ph:ph + geo.height,
-                                           pw:pw + geo.width]
-                    instrs.append(Instr(step.name, step.op, "pad_fill",
-                                        partial(np.copyto, interior, x)))
-                if kind == "dw":
-                    spec, operand, target = "nchwij,cij->nchw", win, image
-                    path = info["path"]
-                elif info.get("grouped"):
-                    g = info["groups"]
-                    cg = geo.in_channels // g
-                    kh, kw = geo.kernel
-                    operand = win.reshape(geo.batch, g, cg, geo.out_height,
-                                          geo.out_width, kh, kw)
-                    target = image.reshape(geo.batch, g,
-                                           geo.out_channels // g,
-                                           geo.out_height, geo.out_width)
-                    spec, path = "ngchwij,gocij->ngohw", info["path5"]
-                else:
-                    spec, operand, target = "nchwij,ocij->nohw", win, image
-                    path = info["path4"]
-
-                def run(spec=spec, operand=operand, weight=weight,
-                        target=target, path=path):
-                    np.einsum(spec, operand, weight, out=target, optimize=path)
-
-                instrs.append(Instr(step.name, step.op,
-                                    "einsum32" if g32 else "einsum", run))
-                instrs.append(chain_instr("chain", tail(constants, image, out)))
-                return instrs
-
-            return build
-
-        name64 = "blas" if kind == "dw" else "wingemm"
-        if kind == "dw" or name64 in bound._impls:
-            builders[name64] = make_einsum(False)
-        if info.get("geometry32") is not None:
-            builders[name64 + "32"] = make_einsum(True)
-
-        # Stacked-shift GEMM: ungrouped convs and depthwise (dense-embedded).
-        stackable = (info.get("groups", 1) == 1 or kind == "dw")
-        if (ctx.engine.accumulate == "blas" and stackable
-                and _stack_elements(geometry) <= STACKGEMM_MAX_ELEMENTS):
-
-            def make_stack(f32: bool):
-                def build():
-                    dtype = np.float32 if f32 else np.float64
-                    ssg = StackedShiftGeometry(
-                        geometry.batch, geometry.in_channels, geometry.height,
-                        geometry.width, geometry.kernel, geometry.stride,
-                        geometry.padding, dtype=dtype)
-                    weight_codes = info["step"].weight_codes
-                    if kind == "dw":
-                        packed = pack_stacked_depthwise_weights(weight_codes, dtype)
-                    else:
-                        packed = pack_stacked_weights(weight_codes, dtype)
-                    n = geometry.batch
-                    o = geometry.out_channels
-                    m = ssg.out_height * ssg.out_width
-                    constants = info["constants_img32" if f32 else "constants_img"]
-                    constants = dict(constants)
-                    if constants["bias_addend"] is not None:
-                        constants["bias_addend"] = \
-                            constants["bias_addend"].reshape(1, -1, 1)
-                    if not f32 and out.dtype == np.float64:
-                        acc = out.reshape(n, o, m)
-                    else:
-                        acc = np.empty((n, o, m), dtype=dtype)
-                    gemm_view = ssg.gemm_view
-
-                    def run_fill():
-                        ssg.fill(x)
-
-                    def run_gemm():
-                        np.matmul(packed, gemm_view, out=acc)
-
-                    dst = out.reshape(n, o, m)
-                    return [
-                        Instr(step.name, step.op, "stack_fill", run_fill),
-                        Instr(step.name, step.op, "stack_gemm", run_gemm),
-                        chain_instr("chain", tail(constants, acc, dst)),
-                    ]
-
-                return build
-
-            builders["stackgemm"] = make_stack(False)
-            if info.get("f32_ok"):
-                builders["stackgemm32"] = make_stack(True)
-
-        # Legacy closures cover the remaining variants (im2col BLAS, int).
-        for name, impl in bound._impls.items():
-            if name not in builders:
-                builders[name] = partial(_wrapped_variant, name, step, bound,
-                                         env, impl)
-        default = "stackgemm" if "stackgemm" in builders else name64
-        if default not in builders:
-            default = next(iter(builders))
-
-    elif kind == "pw":
-        subsample = info["subsample"]
-
-        def make_pw(f32: bool):
-            def build():
-                weight = info["weight32"] if f32 else info["weight64"]
-                staging = info["staging32"] if f32 else info["staging64"]
-                acc = info["acc32"] if f32 else info["acc"]
-                constants = info["constants32" if f32 else "constants"]
-                mode = "blas"
-                gemm = partial(pointwise_accumulate, x, weight, acc, staging,
-                               subsample, mode)
-                instrs = [Instr(step.name, step.op,
-                                "pw_gemm32" if f32 else "pw_gemm", gemm)]
-                instrs.append(chain_instr("chain",
-                                          tail(constants, acc, info["out_gemm"])))
-                return instrs
-
-            return build
-
-        builders["blas"] = make_pw(False)
-        if info.get("acc32") is not None:
-            builders["blas32"] = make_pw(True)
-        for name, impl in bound._impls.items():
-            if name not in builders:
-                builders[name] = partial(_wrapped_variant, name, step, bound,
-                                         env, impl)
-        default = "blas32" if "blas32" in builders else "blas"
-
-    elif kind == "fc":
-
-        def make_fc(f32: bool):
-            def build():
-                weight = info["weight32"] if f32 else info["weight64"]
-                acc = info["acc32"] if f32 else info["acc"]
-                constants = info["constants32" if f32 else "constants"]
-                calls: list[tuple] = []
-                operand = x
-                if f32:
-                    staging = info["staging32"]
-                    calls.append((np.copyto, (staging, x)))
-                    operand = staging
-                calls.append((np.matmul, (operand, weight, acc)))
-                instrs = [Instr(step.name, step.op,
-                                "fc_gemm32" if f32 else "fc_gemm",
-                                _ops_runner(calls))]
-                instrs.append(chain_instr("chain", tail(constants, acc, out)))
-                return instrs
-
-            return build
-
-        builders["blas"] = make_fc(False)
-        if info.get("acc32") is not None:
-            builders["blas32"] = make_fc(True)
-        for name, impl in bound._impls.items():
-            if name not in builders:
-                builders[name] = partial(_wrapped_variant, name, step, bound,
-                                         env, impl)
-        default = "blas32" if "blas32" in builders else "blas"
-
-    else:
-        return None
-
+def _tunable(step, builders: dict, default: str, ctx: _TapeBuild) -> list:
     ctx.report["tunable_steps"] += 1
     return [_TunableGroup(step.name, step.op, builders, default)]
+
+
+def _emit_conv(step, bound, ctx: _TapeBuild):
+    x = ctx.arrays[step.inputs[0]]
+    out = bound.output
+    geometry = bound.lanes[0].geometry
+    n, o = geometry.batch, geometry.out_channels
+    oh, ow = geometry.out_height, geometry.out_width
+    kh, kw = geometry.kernel
+    sh, sw = geometry.stride
+    g = step.groups
+    if step.is_depthwise:
+        base, spec = "blas", "nchwij,cij->nchw"
+    elif g > 1:
+        base, spec = "wingemm", "ngchwij,gocij->ngohw"
+    else:
+        base, spec = "wingemm", "nchwij,ocij->nohw"
+
+    def einsum_variant(lane):
+        def build():
+            # Resolve the stable strided window view without running the
+            # staging fill (the input buffer holds garbage at compile time;
+            # filling would cast NaNs into the f32 staging).
+            instrs: list[Instr] = []
+            padded = lane.geometry._padded
+            if padded is not None:
+                ph, pw = geometry.padding
+                interior = padded[:, :, ph:ph + geometry.height, pw:pw + geometry.width]
+                instrs.append(Instr(step.name, step.op, "pad_fill",
+                                    partial(np.copyto, interior, x)))
+            operand = sliding_window_view(x if padded is None else padded, (kh, kw),
+                                          axis=(2, 3))[:, :, ::sh, ::sw]
+            target = lane.acc
+            if g > 1 and not step.is_depthwise:
+                operand = operand.reshape(n, g, geometry.in_channels // g, oh, ow, kh, kw)
+                target = target.reshape(n, g, o // g, oh, ow)
+            path = np.einsum_path(spec, operand, lane.weight, optimize=True)[0]
+            instrs.append(Instr(step.name, step.op, "einsum" + lane.suffix,
+                                partial(np.einsum, spec, operand, lane.weight,
+                                        out=target, optimize=path)))
+            instrs.append(_tail_instr(step, lane, out, ctx))
+            return instrs
+
+        return build
+
+    def stack_variant(lane):
+        def build():
+            dtype = lane.acc.dtype
+            ssg = StackedShiftGeometry(n, geometry.in_channels, geometry.height,
+                                       geometry.width, geometry.kernel, geometry.stride,
+                                       geometry.padding, dtype=dtype)
+            pack = pack_stacked_depthwise_weights if step.is_depthwise else pack_stacked_weights
+            packed = pack(step.weight_codes, dtype)
+            dst = out.reshape(n, o, oh * ow)
+            # The raw accumulator can exceed the float32 range, so the GEMM
+            # targets the output buffer only when both run in float64 lanes.
+            acc = dst if dtype == out.dtype == np.float64 else np.empty(dst.shape, dtype)
+            constants = dict(lane.constants)
+            if constants["bias_addend"] is not None:
+                constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1)
+            calls, _ = tail_chain(constants, acc, dst, fuse=ctx.fuse)
+            return [
+                Instr(step.name, step.op, "stack_fill", partial(ssg.fill, x)),
+                Instr(step.name, step.op, "stack_gemm",
+                      partial(np.matmul, packed, ssg.gemm_view, out=acc)),
+                Instr(step.name, step.op, "chain", _ops_runner(calls)),
+            ]
+
+        return build
+
+    builders = {base + lane.suffix: einsum_variant(lane) for lane in bound.lanes}
+    # Stacked-shift GEMM: ungrouped convs and depthwise (dense-embedded).
+    if ((g == 1 or step.is_depthwise)
+            and n * kh * kw * geometry.in_channels * oh * ow <= STACKGEMM_MAX_ELEMENTS):
+        for lane in bound.lanes:
+            builders["stackgemm" + lane.suffix] = stack_variant(lane)
+    return _tunable(step, builders, "stackgemm" if "stackgemm" in builders else base, ctx)
+
+
+def _emit_pointwise(step, bound, ctx: _TapeBuild):
+    x = ctx.arrays[step.inputs[0]]
+    dst = bound.output.reshape(bound.lanes[0].acc.shape)
+
+    def variant(lane):
+        def build():
+            gemm = partial(pointwise_accumulate, x, lane.weight, lane.acc,
+                           lane.staging, step.subsample)
+            return [Instr(step.name, step.op, "pw_gemm" + lane.suffix, gemm),
+                    _tail_instr(step, lane, dst, ctx)]
+
+        return build
+
+    builders = {"blas" + lane.suffix: variant(lane) for lane in bound.lanes}
+    return _tunable(step, builders, "blas" + bound.lanes[-1].suffix, ctx)
+
+
+def _emit_linear(step, bound, ctx: _TapeBuild):
+    x = ctx.arrays[step.inputs[0]]
+
+    def variant(lane):
+        def build():
+            calls: list[tuple] = []
+            operand = x
+            if lane.staging is not None:
+                calls.append((np.copyto, (lane.staging, x)))
+                operand = lane.staging
+            calls.append((np.matmul, (operand, lane.weight, lane.acc)))
+            return [Instr(step.name, step.op, "fc_gemm" + lane.suffix, _ops_runner(calls)),
+                    _tail_instr(step, lane, bound.output, ctx)]
+
+        return build
+
+    builders = {"blas" + lane.suffix: variant(lane) for lane in bound.lanes}
+    return _tunable(step, builders, "blas" + bound.lanes[-1].suffix, ctx)
 
 
 # ---------------------------------------------------------------------- #
 # The compiler
 # ---------------------------------------------------------------------- #
-_CHEAP_EMITTERS = {
+_EMITTERS = {
     _ReshapeStep: _emit_reshape,
     _QuantizeInputStep: _emit_quantize_input,
     _ActivationOnlyStep: _emit_activation_only,
@@ -687,56 +595,41 @@ _CHEAP_EMITTERS = {
     _LeakyReLUStep: _emit_leaky_relu,
     _MaxPoolStep: _emit_max_pool,
     _GlobalAvgPoolStep: _emit_global_avg_pool,
+    _FusedConvStep: _emit_conv,
+    _PointwiseConvStep: _emit_pointwise,
+    _FusedLinearStep: _emit_linear,
 }
-
-_COMPUTE_TYPES = (_FusedConvStep, _PointwiseConvStep, _FusedLinearStep)
 
 
 def compile_tape(engine, fuse: bool = True) -> TapeProgram:
     """Lower a bound engine into a flat instruction program.
 
-    Native instructions are emitted for every step type the compiler knows;
-    anything else is wrapped as a single legacy-closure instruction, so the
-    tape is total over the plans the interpreter executes.  Tunable compute
-    steps are resolved from the plan's cached tape kernel choices when
-    present (artifact loads re-profile nothing); otherwise the tape
-    autotunes once and caches the choices on the plan.
+    Native instructions are emitted for every step type with an emitter —
+    all of an optimized plan.  The reference plan's conv/linear steps have
+    none and run their bound ``run(env)`` closure as one ``fallback``
+    instruction, so the tape is total over the plans the interpreter
+    executes.  An optimized plan's tunable groups are resolved from its
+    cached kernel choices when present (artifact loads re-profile nothing);
+    otherwise the tape autotunes once and caches the choices on the plan.
     """
     PIPELINE_COUNTERS.tape_compilations += 1
     plan = engine.plan
     env = engine._env
     input_buffer = np.zeros(engine.input_shape, dtype=engine.input_dtype)
     env[0] = input_buffer
-    ctx = _TapeBuild(engine, fuse)
+    ctx = _TapeBuild(fuse)
     ctx.arrays[plan.input_name] = input_buffer
 
     items: list = []
     env_pins: list[tuple] = [(0, input_buffer)]
     for step, bound in zip(plan.steps, engine.steps):
-        emitted = None
-        sym = step
-        extra_activation = extra_relu6_bound = None
-        if isinstance(sym, _FusedActivationStep):
-            if isinstance(sym.inner, _COMPUTE_TYPES):
-                extra_activation = sym.fused_activation
-                if extra_activation == "relu6":
-                    extra_relu6_bound = _relu6_bound(
-                        bound.out_meta.fraction, bound.out_meta.divisor, sym.name)
-                emitted = _emit_compute(sym, bound, ctx, extra_activation,
-                                        extra_relu6_bound)
-        elif isinstance(sym, _COMPUTE_TYPES):
-            emitted = _emit_compute(sym, bound, ctx)
-        else:
-            emitter = _CHEAP_EMITTERS.get(type(sym))
-            if emitter is not None:
-                emitted = emitter(sym, bound, ctx)
-        if emitted is None:
-            ctx.report["fallback_steps"] += 1
-            emitted = [Instr(step.name, step.op, "fallback",
-                             partial(bound.run, env))]
-        else:
+        emitter = _EMITTERS.get(type(step))
+        if emitter is not None:
             ctx.report["native_steps"] += 1
-        items.extend(emitted)
+            items.extend(emitter(step, bound, ctx))
+        else:
+            ctx.report["fallback_steps"] += 1
+            items.append(Instr(step.name, step.op, "fallback", partial(bound.run, env)))
         if step.name not in ctx.arrays:
             ctx.arrays[step.name] = bound.output
         # Keep the environment coherent for fallback instructions (and for
@@ -746,17 +639,11 @@ def compile_tape(engine, fuse: bool = True) -> TapeProgram:
 
     tape = TapeProgram(engine, input_buffer, ctx.arrays[plan.output_name],
                        items, ctx.report, env_pins)
-
-    if engine.accumulate == "blas" and tape.tunable_groups:
-        cached = getattr(plan, "tape_kernel_choices", None)
-        if cached:
-            tape.apply_choices(cached)
-            for group in tape.tunable_groups:
+    if tape.tunable_groups:
+        if plan.kernel_choices:
+            tape.apply_choices(plan.kernel_choices)
+            for group in tape.tunable_groups:   # free the defaults' staging
                 group.drop_unchosen()
-        elif getattr(plan, "autotune", True):
-            choices = tape.autotune()
-            try:
-                plan.tape_kernel_choices = dict(choices)
-            except AttributeError:  # exotic plan objects; cache is best-effort
-                pass
+        elif plan.autotune:
+            plan.kernel_choices = tape.autotune()
     return tape

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .parallel import ShardedRunner
 from .plan import CompiledEngine, EngineOutput
 
 __all__ = ["RequestResult", "RunnerStats", "BatchedRunner", "pack_partial_fills",
@@ -111,11 +110,6 @@ class RunnerStats:
     latency_p95_ms: float = 0.0
     latency_p99_ms: float = 0.0
     latency_max_ms: float = 0.0
-    #: shard-worker provisioning: what was asked for, what actually ran, and
-    #: why (the auto-degrade decision of ShardedRunner, when it applies)
-    workers_requested: int = 1
-    workers_effective: int = 1
-    worker_decision: str = "as-requested"
     #: megabatch accounting (run_partial_groups): how many partial-fill
     #: groups were served and how many engine passes they actually cost
     megabatch_groups: int = 0
@@ -151,59 +145,23 @@ class RunnerStats:
             "latency_p95_ms": self.latency_p95_ms,
             "latency_p99_ms": self.latency_p99_ms,
             "latency_max_ms": self.latency_max_ms,
-            "workers_requested": self.workers_requested,
-            "workers_effective": self.workers_effective,
-            "worker_decision": self.worker_decision,
             "megabatch_groups": self.megabatch_groups,
             "megabatch_executions": self.megabatch_executions,
         }
 
 
 class BatchedRunner:
-    """Coalesce single-image requests into fixed-size engine batches.
+    """Coalesce single-image requests into fixed-size engine batches."""
 
-    ``workers > 1`` shards every batch across a thread pool of per-shard
-    engines (see :class:`~repro.engine.parallel.ShardedRunner`); the request
-    codes are identical to the single-engine execution, only the compute
-    time changes.  A :class:`ShardedRunner` may also be passed directly as
-    ``engine``.
-    """
-
-    def __init__(self, engine: CompiledEngine | ShardedRunner, *,
-                 workers: int = 1, auto_workers: bool = True) -> None:
-        if not isinstance(engine, (CompiledEngine, ShardedRunner)):
+    def __init__(self, engine: CompiledEngine) -> None:
+        if not isinstance(engine, CompiledEngine):
             # Accept a Deployment (or any bundle carrying a bound engine).
             inner = getattr(engine, "engine", None)
-            if isinstance(inner, (CompiledEngine, ShardedRunner)):
+            if isinstance(inner, CompiledEngine):
                 engine = inner
-        self.workers_requested = int(workers)
-        self.worker_decision = "as-requested"
-        if workers > 1:
-            if not isinstance(engine, CompiledEngine):
-                raise ValueError("workers > 1 requires a CompiledEngine to shard; "
-                                 "pass an already-sharded runner as engine instead")
-            # auto_workers lets the sharded runner fall back to the
-            # single-thread path when the host cannot profit from shards
-            # (single core, or measured scaling below 1.0x).
-            engine = ShardedRunner(engine.plan, engine.input_shape, workers=workers,
-                                   accumulate=engine.accumulate,
-                                   auto_degrade=auto_workers)
-            self.worker_decision = engine.worker_decision
         self.engine = engine
         self.batch_size = engine.batch_size
         self._staging = np.zeros(engine.input_shape, dtype=engine.input_dtype)
-
-    def close(self) -> None:
-        """Release the sharded engine's thread pool (no-op for a plain engine)."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "BatchedRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def run(self, images: np.ndarray, arrival_times_s: np.ndarray | None = None
             ) -> tuple[list[RequestResult], RunnerStats]:
@@ -238,10 +196,7 @@ class BatchedRunner:
             raise ValueError("arrival_times_s must be non-decreasing (arrival order)")
 
         results: list[RequestResult] = []
-        stats = RunnerStats(batch_size=self.batch_size,
-                            workers_requested=self.workers_requested,
-                            workers_effective=getattr(self.engine, "workers", 1),
-                            worker_decision=self.worker_decision)
+        stats = RunnerStats(batch_size=self.batch_size)
         clock = 0.0  # virtual serving clock; advances by measured compute time
         for batch_index, begin in enumerate(range(0, total, self.batch_size)):
             end = min(begin + self.batch_size, total)
@@ -281,10 +236,7 @@ class BatchedRunner:
         :class:`~repro.engine.plan.EngineOutput` objects plus stats
         recording how many executions the groups actually cost.
         """
-        stats = RunnerStats(batch_size=self.batch_size,
-                            workers_requested=self.workers_requested,
-                            workers_effective=getattr(self.engine, "workers", 1),
-                            worker_decision=self.worker_decision)
+        stats = RunnerStats(batch_size=self.batch_size)
         start = time.perf_counter()
         outputs, executions = run_partial_groups(self.engine, groups)
         stats.total_time_s = time.perf_counter() - start

@@ -7,7 +7,6 @@ from .inception import inception_nano, inception_nano_deep, avgpool_channel_hint
 from .mobilenet import mobilenet_v1_nano, mobilenet_v2_nano
 from .darknet import darknet_nano
 from .registry import ModelSpec, MODEL_REGISTRY, build_model, available_models
-from .compiled import CompiledModel, compile_registry_model
 
 __all__ = [
     "lenet_nano",
@@ -25,6 +24,4 @@ __all__ = [
     "MODEL_REGISTRY",
     "build_model",
     "available_models",
-    "CompiledModel",
-    "compile_registry_model",
 ]

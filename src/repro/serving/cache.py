@@ -33,10 +33,9 @@ __all__ = ["PlanCache"]
 class PlanCache:
     """Bounded LRU of compiled-model entries with an optional disk tier.
 
-    Entries are whatever ``compile_fn`` returns — legacy
-    :class:`~repro.models.compiled.CompiledModel` bundles or
-    :class:`~repro.deploy.Deployment` objects (required for the disk tier,
-    which round-trips entries through ``entry.save(path)`` /
+    Entries are whatever ``compile_fn`` returns —
+    :class:`~repro.deploy.Deployment` objects by default (required for the
+    disk tier, which round-trips entries through ``entry.save(path)`` /
     ``Deployment.load(path)``).
     """
 
@@ -54,8 +53,8 @@ class PlanCache:
         if compile_fn is not None:
             self._compile = compile_fn
         else:
-            from ..models.compiled import compile_registry_model
-            self._compile = compile_registry_model
+            from ..deploy import compile as deploy_compile
+            self._compile = deploy_compile
         self.compile_kwargs = compile_kwargs
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
         self.disk_max_bytes = disk_max_bytes

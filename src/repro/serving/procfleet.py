@@ -11,8 +11,8 @@ Design points:
 
 * **Engine bootstrap from the disk tier.**  Workers never pickle an engine —
   they load ``.rpa`` plan artifacts (prepacked weights, cached autotune
-  choices) via :func:`repro.engine.parallel.bootstrap_process_engines`, the
-  same zero-re-lowering path a warm restart takes.  The parent exports
+  choices) via :meth:`repro.deploy.Deployment.load`, the same
+  zero-re-lowering path a warm restart takes.  The parent exports
   artifacts from its :class:`~repro.serving.cache.PlanCache` disk tier (or a
   temporary directory when no tier is configured).
 * **Shared-memory data plane.**  Request images travel parent→worker and
@@ -94,7 +94,7 @@ def _worker_main(worker_index: int, artifact_paths: dict[str, str],
     """
     from multiprocessing import shared_memory
 
-    from ..engine.parallel import bootstrap_process_engines
+    from ..deploy.deployment import Deployment
     from ..engine.runner import run_partial_groups
 
     injector = (faults.injector(worker=worker_index, task_offset=task_offset)
@@ -106,7 +106,8 @@ def _worker_main(worker_index: int, artifact_paths: dict[str, str],
         # unlink — so no child-side unregister dance is needed.
         in_shm = shared_memory.SharedMemory(name=in_name)
         out_shm = shared_memory.SharedMemory(name=out_name)
-        engines = bootstrap_process_engines(artifact_paths)
+        engines = {name: Deployment.load(path).engine
+                   for name, path in artifact_paths.items()}
         result_queue.put(("ready", worker_index, sorted(engines)))
     except BaseException as exc:  # noqa: BLE001 - must cross the process edge
         result_queue.put(("error", None, f"worker {worker_index} bootstrap "

@@ -18,16 +18,11 @@ as an actual thread pool over per-model tape engines and reports measured
 wall-clock throughput/latency, with megabatch coalescing of backlogged
 policy batches (see :meth:`FleetServer._serve_real`).
 
-Two orthogonal concurrency knobs:
-
-* ``workers=N`` — N dispatch workers on the virtual clock.  Batches for
-  *different models* launch concurrently (each model still serializes on
-  its own engine); with one worker the server degrades to the strict
-  single-worker serialization where batching policy and admission control
-  matter most.
-* ``shard_workers=M`` — data parallelism inside one batch: every batch is
-  split across M per-shard engines on a thread pool (BLAS releases the
-  GIL).  Output codes are identical either way.
+One concurrency knob: ``workers=N`` dispatch workers.  Batches for
+*different models* launch concurrently (each model still serializes on its
+own engine); with one worker the server degrades to the strict
+single-worker serialization where batching policy and admission control
+matter most.
 
 Real execution picks its **backend**: ``backend="thread"`` (default) drives
 the dispatch workers as a thread pool in-process; ``backend="process"``
@@ -62,7 +57,6 @@ import numpy as np
 from ..deploy import compile as deploy_compile
 from ..deploy.artifact import config_key
 from ..deploy.config import CompileConfig
-from ..engine.parallel import ShardedRunner
 from ..faults import (
     BreakerPolicy,
     CircuitBreaker,
@@ -211,7 +205,6 @@ class FleetServer:
                  compute_time_fn: Callable[[str, int], float] | None = None,
                  warm: bool = True,
                  workers: int = 1,
-                 shard_workers: int = 1,
                  execution: str = "virtual",
                  backend: str = "thread",
                  mp_context: str = "spawn",
@@ -270,11 +263,6 @@ class FleetServer:
         self.compute_time_fn = compute_time_fn
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if shard_workers < 1:
-            raise ValueError(f"shard_workers must be >= 1, got {shard_workers}")
-        if backend == "process" and shard_workers > 1:
-            raise ValueError("backend='process' already parallelizes across "
-                             "processes; shard_workers must be 1")
         if telemetry is not None and not isinstance(telemetry, TelemetryConfig):
             raise TypeError(f"telemetry must be a TelemetryConfig or None, "
                             f"got {type(telemetry).__name__}")
@@ -292,11 +280,6 @@ class FleetServer:
         self.retry = retry
         self.breaker = breaker
         self.workers = int(workers)
-        self.shard_workers = int(shard_workers)
-        #: per-model sharded executors; a PlanCache recompile produces a new
-        #: plan object, which invalidates the old executor (identity check on
-        #: the live plan the runner holds — never on a freeable id())
-        self._sharded: dict[str, ShardedRunner] = {}
         if warm:
             self.warm_up()
 
@@ -315,43 +298,15 @@ class FleetServer:
             if self.compute_time_fn is not None:
                 self.cost_model.prime(name, self.compute_time_fn(name, self.batch_size))
                 continue
-            engine = self._engine(name, compiled)
             probe = np.zeros(compiled.engine.input_shape)
             start = time.perf_counter()
-            engine.run(probe)
+            compiled.engine.run(probe)
             self.cost_model.prime(name, time.perf_counter() - start)
 
-    def _engine(self, name: str, compiled):
-        """The executor for one compiled model: plain or sharded (shard_workers>1)."""
-        if self.shard_workers <= 1:
-            return compiled.engine
-        runner = self._sharded.get(name)
-        if runner is not None and runner.plan is compiled.plan:
-            return runner
-        if runner is not None:
-            runner.close()
-        runner = ShardedRunner(compiled.plan, compiled.engine.input_shape,
-                               workers=self.shard_workers,
-                               accumulate=compiled.engine.accumulate)
-        self._sharded[name] = runner
-        return runner
-
-    @staticmethod
-    def _tape_of(engine):
-        """The engine's compiled TapeProgram, or None when it has none
-        (sharded runners and non-tape modes are served without tape spans)."""
-        tape = getattr(engine, "tape", None)
-        if tape is None and getattr(engine, "mode", None) == "tape":
-            ensure = getattr(engine, "_ensure_tape", None)
-            if ensure is not None:
-                tape = ensure()
-        return tape
-
     def close(self) -> None:
-        """Release the sharded executors' thread pools (no-op for shard_workers=1)."""
-        for runner in self._sharded.values():
-            runner.close()
-        self._sharded.clear()
+        """End the server's life.  Thread pools and worker processes live
+        only for the duration of one :meth:`serve` call, so nothing is held
+        here; callers scope a server with it all the same."""
 
     @property
     def input_shapes(self) -> dict[str, tuple[int, int, int]]:
@@ -719,14 +674,13 @@ class FleetServer:
                                            sum(q.depth for q in queues.values()))
                 batch_index += 1
                 continue
-            compiled = self.cache.get(model)
-            engine = self._engine(model, compiled)
+            engine = self.cache.get(model).engine
             images = np.stack([r.image for r in batch])
             batch_traced = tracer.enabled and any(
                 r.request_id in traced for r in batch)
             detach = None
             if batch_traced and telemetry is not None and telemetry.tape_spans:
-                tape = self._tape_of(engine)
+                tape = engine.tape   # None on a steps-mode engine
                 if tape is not None:
                     # Tape instructions are stamped on the wall clock; remap
                     # them onto the virtual clock relative to the launch.
@@ -1034,8 +988,7 @@ class FleetServer:
         needed = sorted({r.model for r in reqs})
         engines = {}
         for model in needed:
-            compiled = self.cache.get(model)
-            engines[model] = self._engine(model, compiled)
+            engines[model] = self.cache.get(model).engine
 
         proc_backend = None
         tmpdir = None
@@ -1135,7 +1088,7 @@ class FleetServer:
                     time.sleep(event.duration_s)
             detach = None
             if trace_batch and telemetry is not None and telemetry.tape_spans:
-                tape = self._tape_of(engines[model])
+                tape = engines[model].tape   # None on a steps-mode engine
                 if tape is not None:
                     tape_lane = f"worker-{worker_index}-tape"
 

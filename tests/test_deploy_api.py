@@ -8,8 +8,7 @@ The acceptance claims under test:
   re-profiling, asserted through :data:`repro.engine.PIPELINE_COUNTERS`;
 * corrupt and stale artifacts raise a clear :class:`ArtifactError` instead
   of quietly recompiling or serving garbage;
-* the legacy entry points keep working as deprecation shims over the new
-  API and produce identical output codes.
+* the surface the frozen ``benchmarks/e2e`` harness drives stays in place.
 """
 
 from __future__ import annotations
@@ -101,6 +100,10 @@ def test_config_dict_round_trip_and_key():
     config = CompileConfig.create(image_size=8, batch_size=4, seed=7)
     again = CompileConfig.from_dict(config.to_dict())
     assert again == config
+    # Older artifact manifests stored a since-removed runtime field.
+    stored = config.to_dict()
+    stored["runtime"]["workers"] = 2
+    assert CompileConfig.from_dict(stored) == config
     assert config_key("lenet_nano", config) == config_key("lenet_nano", again)
     # The key is a content address: any config or model change moves it.
     assert config_key("vgg_nano", config) != config_key("lenet_nano", config)
@@ -111,6 +114,16 @@ def test_config_dict_round_trip_and_key():
 # ---------------------------------------------------------------------- #
 # Artifact round trip: every registry model, bit-exact, zero recompute
 # ---------------------------------------------------------------------- #
+def test_fresh_compile_runs_each_pipeline_stage_once():
+    before = PIPELINE_COUNTERS.snapshot()
+    deploy.compile("lenet_nano", SMALL)
+    # One lowering, one optimizer run, one tape compile, one autotune — the
+    # tape's; the step-level autotuner (autotune_runs) no longer exists.
+    assert PIPELINE_COUNTERS.delta(before) == {
+        "lowerings": 1, "optimizations": 1, "autotune_runs": 0,
+        "tape_compilations": 1, "tape_autotune_runs": 1}
+
+
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
 def test_artifact_round_trip_is_bit_exact(model_name, tmp_path):
     fresh = deploy.compile(model_name, SMALL)
@@ -141,10 +154,7 @@ def test_loaded_artifact_keeps_autotuned_variants(lenet_deployment, lenet_artifa
     loaded = Deployment.load(lenet_artifact)
     choices = loaded.kernel_choices
     assert choices == lenet_deployment.kernel_choices and choices
-    variants = {b.step.name: b.variant for b in loaded.engine.steps
-                if hasattr(b, "variant")}
-    for name, choice in choices.items():
-        assert variants[name] == choice
+    assert loaded.engine.tape.choices() == choices
 
 
 def test_artifact_manifest_contents(lenet_deployment, lenet_artifact):
@@ -226,30 +236,6 @@ def test_unsupported_version_raises(lenet_artifact, tmp_path):
 # ---------------------------------------------------------------------- #
 # Deployment surface
 # ---------------------------------------------------------------------- #
-def test_runner_is_bit_exact_across_workers(lenet_deployment):
-    rng = np.random.default_rng(2)
-    requests = rng.standard_normal((BATCH * 2 + 1, 3, IMAGE_SIZE, IMAGE_SIZE))
-    plain_results, _ = lenet_deployment.runner().run(requests)
-    with lenet_deployment.runner(workers=2) as sharded:
-        sharded_results, _ = sharded.run(requests)
-    for a, b in zip(plain_results, sharded_results):
-        np.testing.assert_array_equal(a.codes, b.codes)
-
-
-def test_sharded_runner_from_deployment_honors_accumulate():
-    from repro.engine import ShardedRunner
-    deployment = deploy.compile("lenet_nano", SMALL)
-    with ShardedRunner(deployment, workers=2) as inherited:
-        assert inherited.accumulate == "blas"   # inherited from the engine
-        assert inherited.input_shape == deployment.input_shape
-    with ShardedRunner(deployment, workers=2, accumulate="int") as forced:
-        assert forced.accumulate == "int"       # explicit request wins
-        assert all(e.accumulate == "int" for e in forced.engines)
-        (batch,) = _batches(1)
-        np.testing.assert_array_equal(forced.run(batch).codes,
-                                      deployment.run(batch).codes)
-
-
 def test_batched_runner_accepts_deployment_directly(lenet_deployment):
     rng = np.random.default_rng(3)
     requests = rng.standard_normal((BATCH + 1, 3, IMAGE_SIZE, IMAGE_SIZE))
@@ -303,17 +289,54 @@ def test_compile_rejects_unknown_models_and_types():
 
 
 # ---------------------------------------------------------------------- #
-# Legacy shim
+# The surface benchmarks/e2e drives (frozen: that directory may not change)
 # ---------------------------------------------------------------------- #
-def test_compile_registry_model_shim_matches_deploy(lenet_deployment):
-    from repro.models import compile_registry_model
-    with pytest.warns(DeprecationWarning, match="repro.deploy.compile"):
-        compiled = compile_registry_model(
-            "lenet_nano", image_size=IMAGE_SIZE, batch_size=BATCH,
-            calibration_samples=8, calibration_batch_size=4)
+def test_benchmark_frozen_surface_contract(lenet_deployment, lenet_artifact):
+    import inspect
+
+    from repro.engine import check_engine_parity, lower_graph, optimize_plan
+    from repro.serving import BatchingPolicy, FleetServer, ProcessFleetBackend
+
+    # probes.py indexes all five counter keys; autotune_runs just reads 0.
+    assert set(PIPELINE_COUNTERS.snapshot()) == set(PIPELINE_COUNTERS.delta(
+        PIPELINE_COUNTERS.snapshot())) == {
+        "lowerings", "optimizations", "autotune_runs", "tape_compilations",
+        "tape_autotune_runs"}
+    # Staged compile: plan.bind(shape, accumulate=, mode=, fuse=), then both
+    # choice attributes read as dicts (len() and .get()).
+    runtime = SMALL.runtime
+    plan = optimize_plan(lower_graph(lenet_deployment.graph), autotune=SMALL.autotune)
+    engine = plan.bind(lenet_deployment.input_shape, accumulate=runtime.accumulate,
+                       mode=runtime.mode, fuse=runtime.fuse)
+    assert isinstance(plan.kernel_choices, dict) and plan.kernel_choices
+    assert plan.tape_kernel_choices == plan.kernel_choices
+    assert check_engine_parity(lenet_deployment.graph, engine, _batches(1)).bit_exact
+    # The oracle configuration.
+    oracle = deploy.compile("lenet_nano", replace(
+        SMALL, optimize=False,
+        runtime=RuntimeConfig(batch_size=BATCH, accumulate="int", mode="steps")))
     (batch,) = _batches(1)
-    np.testing.assert_array_equal(compiled.engine.run(batch).codes,
+    np.testing.assert_array_equal(oracle.run(batch).codes,
                                   lenet_deployment.run(batch).codes)
+    # deploy.load ticks only tape_compilations.
+    before = PIPELINE_COUNTERS.snapshot()
+    deploy.load(lenet_artifact)
+    delta = PIPELINE_COUNTERS.delta(before)
+    assert delta.pop("tape_compilations") == 1 and not any(delta.values())
+    # Deployment surface.
+    assert lenet_deployment.profile(batch, repeats=1, level="tape").steps
+    outputs, _ = lenet_deployment.runner().run_partial_groups([batch[:1], batch[1:3]])
+    assert [o.codes.shape[0] for o in outputs] == [1, 2]
+    server = lenet_deployment.serve(
+        ServeConfig(max_batch=BATCH, max_wait_s=5e-3, workers=1, execution="real",
+                    backend="thread"), preload=[])
+    server.close()
+    server = FleetServer(["lenet_nano"], batch_size=BATCH, compile_config=SMALL,
+                         policy=BatchingPolicy.dynamic(BATCH, 5e-3), execution="real",
+                         backend="thread", workers=1, warm=False)
+    server.close()
+    assert list(inspect.signature(ProcessFleetBackend).parameters)[:3] == [
+        "specs", "artifact_paths", "workers"]
 
 
 # ---------------------------------------------------------------------- #

@@ -6,13 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import deploy
 from repro.engine import (
     BatchedRunner,
     PlanError,
     check_engine_parity,
     lower_graph,
 )
-from repro.models import MODEL_REGISTRY, build_model, compile_registry_model
+from repro.models import MODEL_REGISTRY, build_model
 from repro.quant import QuantConfig, requantize_codes, shift_requantize
 
 IMAGE_SIZE = 8  # keeps every global-average-pool window a power of two
@@ -20,9 +21,8 @@ BATCH = 4
 
 
 def _compile(name: str, **kwargs):
-    return compile_registry_model(name, image_size=IMAGE_SIZE, batch_size=BATCH,
-                                  calibration_samples=8, calibration_batch_size=4,
-                                  **kwargs)
+    return deploy.compile(name, image_size=IMAGE_SIZE, batch_size=BATCH,
+                          calibration_samples=8, calibration_batch_size=4, **kwargs)
 
 
 def _batches(count: int = 2, seed: int = 0) -> list[np.ndarray]:
@@ -43,14 +43,16 @@ def test_engine_bit_exact_on_registry_model(model_name):
 
 @pytest.mark.parametrize("model_name", ["lenet_nano", "mobilenet_v1_nano", "darknet_nano"])
 def test_pure_int64_backend_matches(model_name):
-    """The int64 einsum reference produces the same codes as the BLAS lanes."""
+    """The int64 einsum oracle produces the same codes as the BLAS-lane tape,
+    and as the reference plan's own BLAS lanes."""
     compiled = _compile(model_name)
-    engine_int = compiled.plan.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE), accumulate="int")
+    oracle = _compile(model_name, optimize=False, accumulate="int", mode="steps")
     (batch,) = _batches(1)
-    blas = compiled.engine.run(batch)
-    pure = engine_int.run(batch)
-    np.testing.assert_array_equal(blas.codes, pure.codes)
-    report = check_engine_parity(compiled.graph, engine_int, [batch])
+    pure = oracle.run(batch)
+    np.testing.assert_array_equal(compiled.run(batch).codes, pure.codes)
+    reference_blas = oracle.plan.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE), mode="steps")
+    np.testing.assert_array_equal(reference_blas.run(batch).codes, pure.codes)
+    report = check_engine_parity(oracle.graph, oracle.engine, [batch])
     assert report.bit_exact
 
 
@@ -97,8 +99,8 @@ def test_non_power_of_two_avgpool_divisor_is_rejected():
     # image_size=12 pools down to a 3x3 global-average window (divisor 9);
     # the engine cannot guarantee bit-exactness there and must refuse.
     with pytest.raises(PlanError, match="not a power of two"):
-        compile_registry_model("resnet_nano", image_size=12, batch_size=2,
-                               calibration_samples=4, calibration_batch_size=2)
+        deploy.compile("resnet_nano", image_size=12, batch_size=2,
+                       calibration_samples=4, calibration_batch_size=2)
 
 
 def test_graph_lower_plan_hook_and_manifest():

@@ -5,8 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import deploy
 from repro.engine import BatchedRunner
-from repro.models import compile_registry_model
 
 IMAGE_SIZE = 8
 BATCH = 4
@@ -14,8 +14,8 @@ BATCH = 4
 
 @pytest.fixture(scope="module")
 def compiled():
-    return compile_registry_model("lenet_nano", image_size=IMAGE_SIZE, batch_size=BATCH,
-                                  calibration_samples=8, calibration_batch_size=4)
+    return deploy.compile("lenet_nano", image_size=IMAGE_SIZE, batch_size=BATCH,
+                          calibration_samples=8, calibration_batch_size=4)
 
 
 def _images(count: int, seed: int = 0) -> np.ndarray:

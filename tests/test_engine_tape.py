@@ -1,10 +1,10 @@
-"""Tape executor: parity vs the step interpreter, fusion, megabatch, serving.
+"""Tape executor: parity vs the oracle, fusion, megabatch, serving.
 
-The tape (:mod:`repro.engine.program`) must be *bit-exact* with the bound
-step interpreter on every registry model — fused chains on and off — and
-the megabatch packing must slice outputs identically to serving each fill
-alone.  Real-execution serving must reproduce the virtual loop's output
-codes request for request.
+The tape (:mod:`repro.engine.program`) must be *bit-exact* with the oracle —
+the unoptimized plan, step-interpreted with int64 accumulation — on every
+registry model, fused chains on and off, and the megabatch packing must
+slice outputs identically to serving each fill alone.  Real-execution
+serving must reproduce the virtual loop's output codes request for request.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.deploy import CompileConfig, QuantConfig, RuntimeConfig
 from repro.engine import (
     BatchedRunner,
     ElementwiseChain,
-    ShardedRunner,
+    check_engine_parity,
     pack_partial_fills,
 )
 from repro.engine.program import TapeProgram
@@ -33,6 +33,9 @@ SMALL = CompileConfig(
     quant=QuantConfig(calibration_samples=8, calibration_batch_size=4),
     runtime=RuntimeConfig(batch_size=BATCH),
 )
+#: the one independent reference: no optimizer passes, pure-int64
+#: accumulation, the step interpreter instead of the tape
+ORACLE = SMALL.with_overrides(optimize=False, accumulate="int", mode="steps")
 
 
 def _batches(count: int = 2, seed: int = 0) -> list[np.ndarray]:
@@ -46,34 +49,41 @@ def mobilenet():
     return deploy.compile("mobilenet_v1_nano", SMALL)
 
 
+@pytest.fixture(scope="module")
+def mobilenet_oracle():
+    return deploy.compile("mobilenet_v1_nano", ORACLE)
+
+
 # ---------------------------------------------------------------------- #
-# Tape vs steps parity
+# Tape vs oracle parity
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
-def test_tape_matches_step_interpreter_on_registry_model(model_name):
+def test_default_deployment_matches_oracle_on_registry_model(model_name):
     deployment = deploy.compile(model_name, SMALL)
+    oracle = deploy.compile(model_name, ORACLE)
     engine = deployment.engine
     assert engine.mode == "tape"
     assert isinstance(engine.tape, TapeProgram)
     # Every step of every registry model has a native emitter.
     assert engine.tape.report["fallback_steps"] == 0
-    for batch in _batches(2):
-        tape_codes = engine.run(batch).codes
-        step_codes = engine.run_steps(batch).codes
-        np.testing.assert_array_equal(tape_codes, step_codes)
-    # Repeat: cross-pass state (shared scratch, zero borders, the stacked
-    # buffers' zero fringes) must not corrupt later passes.
-    batch = _batches(1, seed=9)[0]
-    np.testing.assert_array_equal(engine.run(batch).codes,
-                                  engine.run_steps(batch).codes)
+    kinds = {instr.kind for instr in engine.tape._flat}
+    assert "fallback" not in kinds and not any(k.startswith("legacy") for k in kinds)
+    # Twice in a row: cross-pass state (shared scratch, zero borders, the
+    # stacked buffers' zero fringes) must not corrupt later passes.
+    for seed in (0, 9):
+        batches = _batches(2, seed=seed)
+        for batch in batches:
+            np.testing.assert_array_equal(engine.run(batch).codes,
+                                          oracle.run(batch).codes)
+        parity = check_engine_parity(deployment.graph, engine, batches)
+        assert parity.bit_exact, f"{model_name} vs simulation: {parity}"
 
 
-def test_fused_and_unfused_tapes_are_bit_exact(mobilenet):
+def test_fused_and_unfused_tapes_are_bit_exact(mobilenet, mobilenet_oracle):
     fused = mobilenet.engine
     unfused = mobilenet.plan.bind(fused.input_shape, mode="tape", fuse=False)
-    steps = mobilenet.plan.bind(fused.input_shape, mode="steps")
     for batch in _batches(3, seed=3):
-        reference = steps.run(batch).codes
+        reference = mobilenet_oracle.run(batch).codes
         np.testing.assert_array_equal(fused.run(batch).codes, reference)
         np.testing.assert_array_equal(unfused.run(batch).codes, reference)
     assert fused.tape.report["mode"] == "fused"
@@ -95,15 +105,15 @@ def test_interleaved_steps_and_tape_runs_stay_bit_exact():
     np.testing.assert_array_equal(engine.run_steps(x2).codes, reference.codes)
 
 
-def test_steps_mode_engine_compiles_no_tape(mobilenet):
-    engine = mobilenet.plan.bind(mobilenet.engine.input_shape, mode="steps")
+def test_steps_mode_engine_compiles_no_tape(mobilenet_oracle):
+    engine = mobilenet_oracle.engine
     assert engine.mode == "steps" and engine.tape is None
     engine.run(_batches(1)[0])
     assert engine.tape is None
 
 
 def test_tape_choices_are_cached_on_the_plan(mobilenet):
-    choices = mobilenet.plan.tape_kernel_choices
+    choices = mobilenet.plan.kernel_choices
     assert choices, "first tape compile must cache its kernel choices"
     from repro.engine import PIPELINE_COUNTERS
     before = PIPELINE_COUNTERS.snapshot()
@@ -122,34 +132,12 @@ def test_unoptimized_plan_tape_parity():
 
 
 def test_int_backend_tape_parity():
-    deployment = deploy.compile("lenet_nano", SMALL.with_overrides(accumulate="int"))
+    deployment = deploy.compile("lenet_nano", SMALL.with_overrides(optimize=False,
+                                                                   accumulate="int"))
     engine = deployment.engine
     batch = _batches(1)[0]
     np.testing.assert_array_equal(engine.run(batch).codes,
                                   engine.run_steps(batch).codes)
-
-
-def test_forced_tape_variants_are_bit_exact(mobilenet):
-    """Force every tape macro-kernel variant; all must reproduce baseline."""
-    batch = _batches(1, seed=5)[0]
-    reference = mobilenet.engine.run_steps(batch).codes
-    seen = set()
-    for variant in ("blas", "blas32", "wingemm", "wingemm32",
-                    "stackgemm", "stackgemm32", "int"):
-        engine = mobilenet.plan.bind(mobilenet.engine.input_shape)
-        tape = engine.tape
-        forced = 0
-        for group in tape.tunable_groups:
-            if variant in group.variants:
-                group.choose(variant)
-                forced += 1
-        if not forced:
-            continue
-        tape.rebuild()
-        seen.add(variant)
-        np.testing.assert_array_equal(engine.run(batch).codes, reference,
-                                      err_msg=f"variant {variant}")
-    assert {"blas", "stackgemm", "stackgemm32", "int"} <= seen
 
 
 # ---------------------------------------------------------------------- #
@@ -254,42 +242,6 @@ def test_megabatch_packs_small_fills_into_one_execution(mobilenet):
     outputs, stats = runner.run_partial_groups(groups)
     assert stats.megabatch_executions == 1     # all fills share one tape pass
     assert len(outputs) == engine.batch_size
-
-
-# ---------------------------------------------------------------------- #
-# Sharded auto-degrade
-# ---------------------------------------------------------------------- #
-def test_sharded_runner_degrades_on_single_core(mobilenet, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 1)
-    runner = ShardedRunner(mobilenet.plan, mobilenet.engine.input_shape,
-                           workers=4, auto_degrade=True)
-    assert runner.workers == 1
-    assert runner.workers_requested == 4
-    assert "single-core" in runner.worker_decision
-    batch = _batches(1)[0]
-    np.testing.assert_array_equal(runner.run(batch).codes,
-                                  mobilenet.engine.run(batch).codes)
-    runner.close()
-
-
-def test_batched_runner_records_worker_decision(mobilenet, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 1)
-    with BatchedRunner(mobilenet.engine, workers=4) as runner:
-        _, stats = runner.run(_batches(1)[0])
-        assert stats.workers_requested == 4
-        assert stats.workers_effective == 1
-        assert "single-core" in stats.worker_decision
-
-
-def test_sharded_runner_without_auto_degrade_keeps_workers(mobilenet, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 1)
-    runner = ShardedRunner(mobilenet.plan, mobilenet.engine.input_shape,
-                           workers=2)
-    assert runner.workers == 2
-    batch = _batches(1)[0]
-    np.testing.assert_array_equal(runner.run(batch).codes,
-                                  mobilenet.engine.run(batch).codes)
-    runner.close()
 
 
 # ---------------------------------------------------------------------- #
@@ -426,23 +378,36 @@ def test_plan_cache_disk_gc_never_evicts_fresh_store(tmp_path):
 
 
 # ---------------------------------------------------------------------- #
-# Artifact v1 -> v2 migration
+# Artifact migration from older format versions
 # ---------------------------------------------------------------------- #
-def test_v1_artifact_migrates_by_relowering(tmp_path, monkeypatch):
+@pytest.mark.parametrize("version", [1, 2])
+def test_older_artifact_migrates_by_relowering(version, tmp_path, monkeypatch):
+    import json
+    import zipfile
+
     from repro.deploy import ARTIFACT_VERSION, Deployment, artifact
     from repro.engine import PIPELINE_COUNTERS
 
     fresh = deploy.compile("lenet_nano", SMALL)
     path = tmp_path / "legacy.rpa"
-    monkeypatch.setattr(artifact, "ARTIFACT_VERSION", 1)
+    monkeypatch.setattr(artifact, "ARTIFACT_VERSION", version)
     fresh.save(path)
     monkeypatch.undo()
+    # Versions 1 and 2 stored the since-removed shard count in the runtime
+    # config; migration re-lowers from that config, so it must still parse.
+    with zipfile.ZipFile(path) as archive:
+        manifest = json.loads(archive.read("manifest.json"))
+        payload = archive.read("plan.pkl")
+    manifest["config"]["runtime"]["workers"] = 2
+    with zipfile.ZipFile(path, "w") as archive:
+        archive.writestr("manifest.json", json.dumps(manifest))
+        archive.writestr("plan.pkl", payload)
 
     batch = _batches(1)[0]
     reference = fresh.run(batch).codes
 
     before = PIPELINE_COUNTERS.snapshot()
-    with pytest.warns(UserWarning, match="format version 1"):
+    with pytest.warns(UserWarning, match=f"format version {version}"):
         migrated = Deployment.load(path)
     delta = PIPELINE_COUNTERS.delta(before)
     assert delta["lowerings"] == 1, "migration re-lowers from the config"
@@ -508,12 +473,13 @@ def test_future_artifact_version_still_raises(tmp_path, monkeypatch):
         Deployment.load(path)
 
 
-def test_v2_artifact_carries_tape_choices(tmp_path, mobilenet):
+def test_artifact_carries_the_one_choice_table(tmp_path, mobilenet):
     path = tmp_path / "tape.rpa"
     mobilenet.save(path)
     loaded = deploy.Deployment.load(path)
     manifest = loaded.artifact_manifest
-    assert manifest["version"] == deploy.ARTIFACT_VERSION
-    assert manifest["tape_kernel_choices"] == mobilenet.plan.tape_kernel_choices
+    assert manifest["version"] == deploy.ARTIFACT_VERSION == 3
+    assert manifest["kernel_choices"] == mobilenet.plan.kernel_choices
+    assert "tape_kernel_choices" not in manifest
     assert loaded.engine.mode == "tape"
-    assert loaded.engine.tape.choices() == mobilenet.plan.tape_kernel_choices
+    assert loaded.engine.tape.choices() == mobilenet.plan.kernel_choices

@@ -37,10 +37,10 @@ class TestRegistry:
             assert name in message
 
     def test_compile_unknown_model_error_lists_available_models(self):
-        from repro.models import compile_registry_model
+        from repro import deploy
 
         with pytest.raises(ValueError) as excinfo:
-            compile_registry_model("resnet_9000")
+            deploy.compile("resnet_9000")
         message = str(excinfo.value)
         assert "resnet_9000" in message
         for name in available_models():

@@ -1,5 +1,7 @@
-"""Optimizer pass pipeline and multicore execution: bit-exactness, fused-step
-introspection, sharded/branch-parallel parity, profiler and autotune caching."""
+"""Optimizer pass pipeline: bit-exactness of every optimized tape against the
+oracle (the unoptimized plan, step-interpreted with int64 accumulation) and
+the fake-quant simulation, optimized-step introspection, forced kernel
+variants, profiler and autotune caching."""
 
 from __future__ import annotations
 
@@ -8,12 +10,11 @@ import re
 import numpy as np
 import pytest
 
-from repro import nn
+from repro import deploy, nn
 from repro.engine import (
-    BatchedRunner,
-    BranchParallelEngine,
     OptimizedPlan,
-    ShardedRunner,
+    PlanError,
+    check_engine_parity,
     check_plan_parity,
     lower_graph,
     optimize_plan,
@@ -21,76 +22,70 @@ from repro.engine import (
 from repro.engine.plan import ExecutionPlan, _ActivationOnlyStep
 from repro.graph import GraphBuilder, quantize_static
 from repro.graph.ir import OpKind
-from repro.models import MODEL_REGISTRY, compile_registry_model
+from repro.models import MODEL_REGISTRY
 
 IMAGE_SIZE = 8  # keeps every global-average-pool window a power of two
 BATCH = 4
+SHAPE = (BATCH, 3, IMAGE_SIZE, IMAGE_SIZE)
+
+#: the one independent reference: no optimizer passes, pure-int64
+#: accumulation, the step interpreter instead of the tape
+ORACLE = dict(optimize=False, accumulate="int", mode="steps")
 
 
 def _compile(name: str, **kwargs):
-    return compile_registry_model(name, image_size=IMAGE_SIZE, batch_size=BATCH,
-                                  calibration_samples=8, calibration_batch_size=4,
-                                  **kwargs)
+    return deploy.compile(name, image_size=IMAGE_SIZE, batch_size=BATCH,
+                          calibration_samples=8, calibration_batch_size=4, **kwargs)
+
+
+def _oracle_engine(plan: ExecutionPlan):
+    return plan.bind(SHAPE, accumulate="int", mode="steps")
 
 
 def _batches(count: int = 2, seed: int = 0) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
-    return [rng.standard_normal((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE)) for _ in range(count)]
+    return [rng.standard_normal(SHAPE) for _ in range(count)]
 
 
 @pytest.fixture(scope="module")
 def mobilenet():
-    return _compile("mobilenet_v1_nano", optimize=False)
-
-
-@pytest.fixture(scope="module")
-def inception():
-    return _compile("inception_nano", optimize=False)
+    return _compile("mobilenet_v1_nano", **ORACLE)
 
 
 # ---------------------------------------------------------------------- #
-# Parity: optimized plan vs unoptimized plan on every registry model
+# Parity: optimized tape vs oracle vs simulation on every registry model
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
 def test_optimized_plan_bit_exact_on_registry_model(model_name):
-    compiled = _compile(model_name, optimize=False)
-    optimized = optimize_plan(compiled.plan)
-    engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
+    oracle = _compile(model_name, **ORACLE)
+    engine = optimize_plan(oracle.plan).bind(SHAPE)
     batches = _batches(2)
-    report = check_plan_parity(compiled.engine, engine, batches)
+    report = check_plan_parity(oracle.engine, engine, batches)
     assert report.bit_exact, f"{model_name}: {report}"
     assert report.total_codes > 0
+    simulation = check_engine_parity(oracle.graph, engine, batches)
+    assert simulation.bit_exact, f"{model_name} vs simulation: {simulation}"
     # Repeat the comparison: cross-pass state (shared scratch, zero-padded
     # borders) must not corrupt later passes.
-    again = check_plan_parity(compiled.engine, engine, batches)
+    again = check_plan_parity(oracle.engine, engine, batches)
     assert again.bit_exact, f"{model_name} second pass: {again}"
 
 
-def test_optimized_int_backend_matches_baseline(mobilenet):
-    optimized = optimize_plan(mobilenet.plan)
-    engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE), accumulate="int")
-    report = check_plan_parity(mobilenet.engine, engine, _batches(1))
-    assert report.bit_exact, str(report)
-
-
-def test_every_kernel_variant_is_bit_exact(mobilenet):
-    """Force each variant on every tunable step; all must reproduce baseline."""
-    batches = _batches(1)
-    seen = set()
-    for variant in ("blas", "blas32", "wingemm", "wingemm32", "int"):
-        optimized = optimize_plan(mobilenet.plan, autotune=False)
-        engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-        forced = 0
-        for bound in engine.steps:
-            if hasattr(bound, "variants") and variant in bound.variants:
-                bound.set_variant(variant)
-                forced += 1
-        if not forced:
-            continue
-        seen.add(variant)
-        report = check_plan_parity(mobilenet.engine, engine, batches)
-        assert report.bit_exact, f"variant {variant}: {report}"
-    assert {"blas", "blas32", "int"} <= seen
+def test_optimized_plan_refuses_the_oracle_lanes(mobilenet):
+    """Steps mode and int64 accumulation live only on the reference plan."""
+    optimized = optimize_plan(mobilenet.plan, autotune=False)
+    with pytest.raises(ValueError, match="optimize=False"):
+        optimized.bind(SHAPE, mode="steps")
+    with pytest.raises(ValueError, match="optimize=False"):
+        optimized.bind(SHAPE, accumulate="int")
+    with pytest.raises(ValueError, match="optimize=False"):
+        _compile("lenet_nano", accumulate="int")
+    engine = optimized.bind(SHAPE)
+    (batch,) = _batches(1)
+    with pytest.raises(PlanError, match="optimize=False"):
+        engine.run_steps(batch)
+    with pytest.raises(PlanError, match="optimize=False"):
+        engine.profile(batch, level="steps")
 
 
 @pytest.fixture(scope="module")
@@ -114,61 +109,62 @@ def grouped_conv_plan():
     x = builder.layer("fc", OpKind.LINEAR, nn.Linear(8, 4, rng=rng), x)
     graph = builder.build(x)
     graph.eval()
-    calibration = [np.random.default_rng(s).standard_normal((BATCH, 3, IMAGE_SIZE,
-                                                             IMAGE_SIZE))
-                   for s in (1, 2)]
+    calibration = [np.random.default_rng(s).standard_normal(SHAPE) for s in (1, 2)]
     quantized = quantize_static(graph, calibration, sequential=False, copy=False)
     return lower_graph(quantized.graph)
 
 
-def test_grouped_conv_wingemm_variants_are_bit_exact(grouped_conv_plan):
-    """Per-variant forcing on the grouped-conv family, wingemm included."""
-    baseline = grouped_conv_plan.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
+@pytest.mark.parametrize("source", ["mobilenet_v1_nano", "resnet_nano", "grouped_conv"])
+def test_every_tape_variant_is_bit_exact(source, grouped_conv_plan):
+    """Force each surviving variant on every tunable group offering it."""
+    reference = (grouped_conv_plan if source == "grouped_conv"
+                 else _compile(source, **ORACLE).plan)
+    oracle = _oracle_engine(reference)
+    optimized = optimize_plan(reference, autotune=False)
     batches = _batches(2, seed=9)
-    grouped_variants: set[str] = set()
-    for variant in ("blas", "blas32", "wingemm", "wingemm32", "int"):
-        optimized = optimize_plan(grouped_conv_plan, autotune=False)
-        engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-        forced_on_grouped = False
-        for bound in engine.steps:
-            if hasattr(bound, "variants") and variant in bound.variants:
-                bound.set_variant(variant)
-                if bound.step.name == "gconv":
-                    forced_on_grouped = True
-                    grouped_variants.add(variant)
-        if variant.startswith("wingemm"):
-            assert forced_on_grouped, \
-                f"grouped conv must offer the {variant} variant"
-        report = check_plan_parity(baseline, engine, batches)
-        assert report.bit_exact, f"grouped conv, variant {variant}: {report}"
-    assert {"wingemm", "wingemm32"} <= grouped_variants
-    # The autotuner must arbitrate over the grouped variants too.
-    tuned = optimize_plan(grouped_conv_plan)
-    engine = tuned.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    assert "gconv" in tuned.kernel_choices
-    report = check_plan_parity(baseline, engine, batches)
-    assert report.bit_exact, f"autotuned grouped plan: {report}"
+    offered = {group.name: group.variants
+               for group in optimized.bind(SHAPE).tape.tunable_groups}
+    for variant in sorted({v for variants in offered.values() for v in variants}):
+        assert not variant.startswith("legacy") and variant != "int"
+        engine = optimized.bind(SHAPE)
+        for group in engine.tape.tunable_groups:
+            if variant in group.variants:
+                group.choose(variant)
+        engine.tape.rebuild()
+        report = check_plan_parity(oracle, engine, batches)
+        assert report.bit_exact, f"{source}, variant {variant}: {report}"
+    if source == "grouped_conv":
+        # Grouped convolutions cannot stack; the window einsum is all they have.
+        assert set(offered["gconv"]) == {"wingemm", "wingemm32"}
+        # The autotuner must arbitrate over the grouped variants too.
+        tuned = optimize_plan(reference)
+        engine = tuned.bind(SHAPE)
+        assert "gconv" in tuned.kernel_choices
+        report = check_plan_parity(oracle, engine, batches)
+        assert report.bit_exact, f"autotuned grouped plan: {report}"
+    else:
+        assert {"blas", "blas32", "wingemm", "wingemm32", "stackgemm",
+                "stackgemm32"} == {v for variants in offered.values() for v in variants}
 
 
-def test_compile_registry_model_defaults_to_optimized(mobilenet):
+def test_deploy_compile_defaults_to_optimized(mobilenet):
     compiled = _compile("mobilenet_v1_nano")
     assert isinstance(compiled.plan, OptimizedPlan)
-    assert compiled.optimization is not None
-    assert compiled.optimization["pointwise_lowered"] == 4
-    assert compiled.optimization["depthwise_direct"] == 4
+    assert compiled.plan.report.pointwise_lowered == 4
+    assert compiled.plan.report.depthwise_direct == 4
     assert compiled.plan.kernel_choices, "autotune should cache kernel choices"
     report = check_plan_parity(mobilenet.engine, compiled.engine, _batches(2))
     assert report.bit_exact, str(report)
 
 
 # ---------------------------------------------------------------------- #
-# Fused-step describe() round-trip
+# Optimized-step describe() round-trip
 # ---------------------------------------------------------------------- #
 def test_fused_step_describe_round_trip(mobilenet):
     optimized = optimize_plan(mobilenet.plan, autotune=False)
     summary = optimized.summary()
     markers = {"pointwise-gemm[no-im2col]": 0, "fused-epilogue[depthwise-direct]": 0,
-               "fused-epilogue[im2col]": 0, "fused-epilogue[gemm]": 0}
+               "fused-epilogue[window-gemm]": 0, "fused-epilogue[gemm]": 0}
     for step in optimized.steps:
         text = step.describe()
         for marker in markers:
@@ -186,13 +182,13 @@ def test_fused_step_describe_round_trip(mobilenet):
         assert text in summary
     assert markers["pointwise-gemm[no-im2col]"] == 4
     assert markers["fused-epilogue[depthwise-direct]"] == 4
-    assert markers["fused-epilogue[im2col]"] == 1   # the stem conv
-    assert markers["fused-epilogue[gemm]"] == 1     # the classifier
+    assert markers["fused-epilogue[window-gemm]"] == 1   # the stem conv
+    assert markers["fused-epilogue[gemm]"] == 1          # the classifier
 
 
 def test_manifest_reports_optimizer_and_choices(mobilenet):
     optimized = optimize_plan(mobilenet.plan)
-    optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
+    optimized.bind(SHAPE)
     manifest = optimized.manifest()
     assert manifest["optimizer"]["pointwise_lowered"] == 4
     assert "eliminate_im2col" in manifest["optimizer"]["passes"]
@@ -203,135 +199,61 @@ def test_manifest_reports_optimizer_and_choices(mobilenet):
 
 
 # ---------------------------------------------------------------------- #
-# Standalone-activation fusion
+# Standalone activations
 # ---------------------------------------------------------------------- #
-def test_standalone_activation_fuses_into_producer(mobilenet):
+def test_standalone_relu_stays_bit_exact_and_clamps(mobilenet):
+    """A ReLU the quantize pass did not fold runs as its own instruction."""
     plan = mobilenet.plan
     relu = _ActivationOnlyStep("post_relu", OpKind.RELU, [plan.output_name])
     extended = ExecutionPlan(graph_name=plan.graph_name, input_name=plan.input_name,
                              output_name="post_relu", steps=list(plan.steps) + [relu])
     optimized = optimize_plan(extended, autotune=False)
-    assert len(optimized.steps) == len(extended.steps) - 1
-    assert optimized.report.activations_fused == 1
-    assert optimized.output_name == plan.output_name
-    assert "+relu[fused]" in optimized.summary()
-    # The fused wrapper must not hide its compute step from the manifest.
-    baseline_manifest = optimize_plan(plan, autotune=False).manifest()
-    fused_manifest = optimized.manifest()
-    assert fused_manifest["weight_bytes"] == baseline_manifest["weight_bytes"]
-    assert (sum("weight_dtype" in s for s in fused_manifest["steps"])
-            == sum("weight_dtype" in s for s in baseline_manifest["steps"]))
-    base = extended.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    report = check_plan_parity(base, engine, _batches(2))
+    assert len(optimized.steps) == len(extended.steps)
+    assert optimized.output_name == "post_relu"
+    engine = optimized.bind(SHAPE)
+    assert [i.kind for i in engine.tape._flat if i.name == "post_relu"] == ["activation"]
+    report = check_plan_parity(_oracle_engine(extended), engine, _batches(2))
     assert report.bit_exact, str(report)
-    # The fold must actually clamp: logits contain negatives pre-ReLU.
+    # The step must actually clamp: logits contain negatives pre-ReLU.
     codes = engine.run(_batches(1)[0]).codes
     assert codes.min() == 0
 
 
 # ---------------------------------------------------------------------- #
-# ShardedRunner
-# ---------------------------------------------------------------------- #
-def test_sharded_runner_matches_single_engine(mobilenet):
-    optimized = optimize_plan(mobilenet.plan)
-    engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    (batch,) = _batches(1)
-    reference = engine.run(batch).codes
-    with ShardedRunner(optimized, (BATCH, 3, IMAGE_SIZE, IMAGE_SIZE), workers=1) as one:
-        with ShardedRunner(optimized, (BATCH, 3, IMAGE_SIZE, IMAGE_SIZE), workers=4) as four:
-            codes_one = one.run(batch).codes
-            codes_four = four.run(batch).codes
-            np.testing.assert_array_equal(codes_one, codes_four)
-            np.testing.assert_array_equal(codes_one, reference)
-            # Variable fill must agree with the engine's partial execution.
-            partial = engine.run_partial(batch[:3]).codes
-            np.testing.assert_array_equal(four.run_partial(batch[:3]).codes, partial)
-            np.testing.assert_array_equal(one.run_partial(batch[:3]).codes, partial)
-    assert four.shard_sizes == [1, 1, 1, 1]
-
-
-def test_sharded_runner_clamps_workers_to_batch(mobilenet):
-    optimized = optimize_plan(mobilenet.plan)
-    runner = ShardedRunner(optimized, (2, 3, IMAGE_SIZE, IMAGE_SIZE), workers=8)
-    assert runner.workers == 2
-    out = runner.run(np.zeros((2, 3, IMAGE_SIZE, IMAGE_SIZE)))
-    assert out.codes.shape[0] == 2
-    runner.close()
-
-
-def test_batched_runner_workers_knob_is_bit_exact(mobilenet):
-    compiled = _compile("mobilenet_v1_nano")
-    rng = np.random.default_rng(3)
-    requests = rng.standard_normal((BATCH * 2 + 1, 3, IMAGE_SIZE, IMAGE_SIZE))
-    plain_results, plain_stats = BatchedRunner(compiled.engine).run(requests)
-    sharded_runner = BatchedRunner(compiled.engine, workers=2)
-    sharded_results, sharded_stats = sharded_runner.run(requests)
-    assert plain_stats.requests == sharded_stats.requests == len(requests)
-    for a, b in zip(plain_results, sharded_results):
-        np.testing.assert_array_equal(a.codes, b.codes)
-    assert sharded_stats.latency_max_ms >= sharded_stats.latency_p99_ms
-    sharded_runner.close()
-
-
-# ---------------------------------------------------------------------- #
-# Branch-parallel execution
-# ---------------------------------------------------------------------- #
-def test_branch_parallel_engine_matches_sequential(inception):
-    optimized = optimize_plan(inception.plan)
-    sequential = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    with BranchParallelEngine(optimized, (BATCH, 3, IMAGE_SIZE, IMAGE_SIZE),
-                              workers=4) as parallel:
-        assert parallel.max_width > 1, "inception should expose parallel branches"
-        for batch in _batches(2):
-            np.testing.assert_array_equal(parallel.run(batch).codes,
-                                          sequential.run(batch).codes)
-        partial = parallel.run_partial(_batches(1)[0][:2])
-        np.testing.assert_array_equal(partial.codes,
-                                      sequential.run_partial(_batches(1)[0][:2]).codes)
-
-
-# ---------------------------------------------------------------------- #
 # Profiler and autotune caching
 # ---------------------------------------------------------------------- #
-def test_profile_breaks_down_per_step(mobilenet):
-    engine = optimize_plan(mobilenet.plan).bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
+def test_profile_reports_the_executor_the_engine_runs(mobilenet):
+    engine = optimize_plan(mobilenet.plan).bind(SHAPE)
     profile = engine.profile(repeats=2)
-    assert len(profile.steps) == len(mobilenet.plan.steps)
+    # An optimized engine runs its tape: one row per instruction, tunable
+    # groups under the variant the tape actually chose.
+    assert len(profile.steps) == engine.tape.report["instructions"]
     assert profile.total_ms > 0
     assert abs(sum(t.share for t in profile.steps) - 1.0) < 1e-9
-    assert any(t.variant for t in profile.steps), "tunable steps report variants"
+    choices = engine.plan.kernel_choices
+    assert {t.name: t.variant for t in profile.steps if t.variant} == choices
     table = profile.table()
     for timing in profile.steps:
         assert timing.name in table
+    assert f"[{choices['stem_conv']}]" in table
     payload = profile.to_dict()
     assert payload["graph"] == "mobilenet_v1_nano"
     assert len(payload["steps"]) == len(profile.steps)
+    # The oracle runs the step interpreter: one row per plan step.
+    steps = mobilenet.profile(repeats=1)
+    assert [t.name for t in steps.steps] == [s.name for s in mobilenet.plan.steps]
+    assert not any(t.variant for t in steps.steps)
 
 
 def test_plan_profile_convenience_binds_and_times(mobilenet):
-    profile = mobilenet.plan.profile((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE), repeats=1)
+    profile = mobilenet.plan.profile(SHAPE, repeats=1)
     assert profile.total_ms > 0
-
-
-def test_autotune_choices_cached_and_reapplied(mobilenet):
-    optimized = optimize_plan(mobilenet.plan)
-    assert optimized.kernel_choices is None
-    optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    choices = optimized.kernel_choices
-    assert choices, "first blas bind must autotune"
-    second = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    assert optimized.kernel_choices is choices, "second bind reuses the cache"
-    for bound in second.steps:
-        if hasattr(bound, "variant") and bound.step.name in choices:
-            assert bound.variant == choices[bound.step.name]
 
 
 def test_cached_choices_can_be_pinned(mobilenet):
     optimized = optimize_plan(mobilenet.plan, autotune=False)
-    optimized.kernel_choices = {"dws1_dw": "int"}
-    engine = optimized.bind((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    variants = {b.step.name: b.variant for b in engine.steps if hasattr(b, "variant")}
-    assert variants["dws1_dw"] == "int"
+    optimized.kernel_choices = {"dws1_dw": "blas"}
+    engine = optimized.bind(SHAPE)
+    assert engine.tape.choices()["dws1_dw"] == "blas"
     report = check_plan_parity(mobilenet.engine, engine, _batches(1))
     assert report.bit_exact, str(report)

@@ -312,8 +312,7 @@ def test_process_backend_run_times_out_instead_of_blocking():
     from repro.serving import ProcessFleetBackend
 
     server = _server("real", backend="process", workers=1)
-    compiled = server.cache.get("lenet_nano")
-    engine = server._engine("lenet_nano", compiled)
+    engine = server.cache.get("lenet_nano").engine
     paths, tmpdir = server._export_artifacts(["lenet_nano"])
     specs = {"lenet_nano": {"input_shape": tuple(engine.input_shape),
                             "output_shape": tuple(engine.output_shape)}}
@@ -342,8 +341,7 @@ def test_process_backend_respawn_is_bounded():
     from repro.serving import ProcessFleetBackend
 
     server = _server("real", backend="process", workers=1)
-    compiled = server.cache.get("lenet_nano")
-    engine = server._engine("lenet_nano", compiled)
+    engine = server.cache.get("lenet_nano").engine
     paths, tmpdir = server._export_artifacts(["lenet_nano"])
     specs = {"lenet_nano": {"input_shape": tuple(engine.input_shape),
                             "output_shape": tuple(engine.output_shape)}}

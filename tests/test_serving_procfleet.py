@@ -97,14 +97,10 @@ def test_process_backend_codes_bit_identical_to_virtual():
     assert report.wall_time_s > 0
 
 
-def test_process_backend_requires_real_execution_and_no_sharding():
+def test_process_backend_requires_real_execution():
     with pytest.raises(ValueError, match="requires execution='real'"):
         FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
                     compile_kwargs=COMPILE_KWARGS, backend="process", warm=False)
-    with pytest.raises(ValueError, match="shard_workers"):
-        FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
-                    compile_kwargs=COMPILE_KWARGS, execution="real",
-                    backend="process", shard_workers=2, warm=False)
     with pytest.raises(ValueError, match="backend"):
         FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
                     compile_kwargs=COMPILE_KWARGS, backend="rocket", warm=False)
@@ -374,26 +370,31 @@ def _deploy(name: str, batch_size: int = 2):
         image_size=IMAGE_SIZE, batch_size=batch_size, **COMPILE_KWARGS))
 
 
-def test_deployment_profile_surfaces_tape_level_timings():
+def test_deployment_profile_reports_the_tape_it_runs():
     deployment = _deploy("lenet_nano")
-    steps = deployment.profile(repeats=2)
-    tape = deployment.profile(repeats=2, level="tape")
+    tape = deployment.profile(repeats=2)
     assert tape.total_ms > 0
     assert tape.steps and all(t.mean_ms >= 0 for t in tape.steps)
     assert abs(sum(t.share for t in tape.steps) - 1.0) < 1e-9
-    # The tape rows are instructions, not plan steps: they carry instruction
-    # kinds (stack_fill / chain / kernel calls) instead of plan ops, and
-    # fused elementwise chains show up as single "chain" rows.
-    tape_kinds = {t.op for t in tape.steps}
-    assert tape_kinds != {t.op for t in steps.steps}
-    assert "chain" in tape_kinds
+    # The rows are instructions, not plan steps: they carry instruction
+    # kinds (stack_fill / chain / kernel calls) instead of plan ops, fused
+    # elementwise chains show up as single "chain" rows, and tunable groups
+    # name the variant the tape runs.
+    assert "chain" in {t.op for t in tape.steps}
+    assert ({t.name: t.variant for t in tape.steps if t.variant}
+            == deployment.kernel_choices)
+    explicit = deployment.profile(repeats=2, level="tape")
+    assert [(t.name, t.op) for t in explicit.steps] == [(t.name, t.op) for t in tape.steps]
     with pytest.raises(ValueError, match="level"):
         deployment.profile(level="flamegraph")
 
 
 def test_deployment_profile_tape_requires_tape_mode():
     deployment = deploy_compile("lenet_nano", CompileConfig.create(
-        image_size=IMAGE_SIZE, batch_size=2, mode="steps", **COMPILE_KWARGS))
+        image_size=IMAGE_SIZE, batch_size=2, mode="steps", optimize=False,
+        **COMPILE_KWARGS))
+    assert ([t.name for t in deployment.profile(repeats=1).steps]
+            == [step.name for step in deployment.plan.steps])
     with pytest.raises(ValueError, match="tape-mode"):
         deployment.profile(level="tape")
 

@@ -198,25 +198,6 @@ def test_input_shapes_property_matches_engines():
     assert after["hits"] == before["hits"] and after["resident"] == before["resident"]
 
 
-def test_sharded_workers_serve_identical_codes():
-    """shard_workers>1 shards batches across threads; codes must not change."""
-    rng = np.random.default_rng(5)
-    requests = [Request(i, "lenet_nano", 0.0,
-                        rng.standard_normal((3, IMAGE_SIZE, IMAGE_SIZE)))
-                for i in range(BATCH + 3)]
-    plain = _server(BatchingPolicy.dynamic(BATCH, 5e-3),
-                    fleet=["lenet_nano"]).serve(requests)
-    sharded_server = _server(BatchingPolicy.dynamic(BATCH, 5e-3),
-                             fleet=["lenet_nano"], shard_workers=2)
-    sharded = sharded_server.serve(requests)
-    assert sharded_server.shard_workers == 2
-    assert plain.completed == sharded.completed == len(requests)
-    for a, b in zip(plain.outcomes, sharded.outcomes):
-        assert a.request_id == b.request_id
-        np.testing.assert_array_equal(a.codes, b.codes)
-    sharded_server.close()
-
-
 def _interleaved_two_model_stream(count: int = 48, seed: int = 6) -> list[Request]:
     rng = np.random.default_rng(seed)
     return [Request(i, FLEET[i % 2], 0.004 * i,
