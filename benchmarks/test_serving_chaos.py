@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import format_table
+from repro.deploy import CompileConfig
 from repro.faults import FaultEvent, FaultPlan, RetryPolicy
 from repro.serving import (
     AdmissionPolicy,
@@ -41,7 +42,8 @@ FLEET = ["lenet_nano", "mobilenet_v1_nano"]
 IMAGE_SIZE = 8
 BATCH = 8
 SEED = 0
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 FIXED_COST = lambda model, fill: 2e-3
 
 #: the chaos schedule: one crash, one hang past the recv deadline, a burst
@@ -72,7 +74,7 @@ def _server(execution: str, **kwargs) -> FleetServer:
                        policy=BatchingPolicy.dynamic(BATCH, 5e-3),
                        admission=AdmissionPolicy(max_queue_depth=None,
                                                  slo_shed=False),
-                       compile_kwargs=COMPILE_KWARGS, workers=2,
+                       compile_config=COMPILE_CONFIG, workers=2,
                        execution=execution, **kwargs)
 
 

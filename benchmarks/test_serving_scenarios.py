@@ -22,6 +22,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import format_table
+from repro.deploy import CompileConfig
 from repro.serving import (
     SCENARIOS,
     AdmissionPolicy,
@@ -39,7 +40,8 @@ IMAGE_SIZE = 8
 BATCH = 8
 MAX_WAIT_S = 5e-3
 SEED = 0
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 SWEEP = ["steady_poisson", "bursty", "diurnal", "heavy_tail"]
 
 POLICIES = {
@@ -51,7 +53,7 @@ POLICIES = {
 def _server(policy: BatchingPolicy, compute_time_fn=None) -> FleetServer:
     return FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE, policy=policy,
                        admission=AdmissionPolicy(max_queue_depth=128),
-                       compile_kwargs=COMPILE_KWARGS, compute_time_fn=compute_time_fn)
+                       compile_config=COMPILE_CONFIG, compute_time_fn=compute_time_fn)
 
 
 def _requests(scenario_name: str):
@@ -118,7 +120,7 @@ def test_serving_scenarios(benchmark, report_writer):
     real_server = FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
                               policy=POLICIES["dynamic"],
                               admission=AdmissionPolicy(max_queue_depth=128),
-                              compile_kwargs=COMPILE_KWARGS,
+                              compile_config=COMPILE_CONFIG,
                               workers=2, execution="real")
     wall = real_server.serve(steady)
     real_server.close()
@@ -140,7 +142,7 @@ def test_serving_scenarios(benchmark, report_writer):
         open_server = FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
                                   policy=POLICIES["dynamic"],
                                   admission=AdmissionPolicy(max_queue_depth=128),
-                                  compile_kwargs=COMPILE_KWARGS,
+                                  compile_config=COMPILE_CONFIG,
                                   workers=2, execution="real")
         open_report = open_server.serve(steady, pacing="open", time_scale=scale)
         open_server.close()
@@ -160,7 +162,7 @@ def test_serving_scenarios(benchmark, report_writer):
     proc_server = FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
                               policy=POLICIES["dynamic"],
                               admission=AdmissionPolicy(max_queue_depth=128),
-                              compile_kwargs=COMPILE_KWARGS,
+                              compile_config=COMPILE_CONFIG,
                               workers=2, execution="real", backend="process")
     proc_wall = proc_server.serve(steady)
     # One more traced pass on the live process fleet: a 25%-sampled request

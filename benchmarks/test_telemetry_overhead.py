@@ -23,6 +23,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import format_table
+from repro.deploy import CompileConfig
 from repro.serving import (
     SCENARIOS,
     AdmissionPolicy,
@@ -40,7 +41,8 @@ IMAGE_SIZE = 8
 BATCH = 8
 SWEEPS = 7
 SEED = 0
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 MAX_OVERHEAD_PCT = float(os.environ.get("TELEMETRY_OVERHEAD_MAX_PCT", "2"))
 
 #: the three measured configurations: no telemetry argument at all, a
@@ -68,7 +70,7 @@ def test_telemetry_disabled_overhead(report_writer):
                          policy=BatchingPolicy.dynamic(BATCH, 2e-3),
                          admission=AdmissionPolicy(max_queue_depth=None,
                                                    slo_shed=False),
-                         compile_kwargs=COMPILE_KWARGS,
+                         compile_config=COMPILE_CONFIG,
                          workers=2, execution="real", telemetry=config)
         for key, config in CONFIGS.items()
     }

@@ -178,11 +178,6 @@ class CompileConfig:
             config = replace(config, runtime=replace(config.runtime, **runtime_updates))
         return replace(config, model_kwargs=model_kwargs, **top_updates)
 
-    @classmethod
-    def create(cls, **flat_kwargs) -> "CompileConfig":
-        """Build a config from flat kwargs (the migration-friendly spelling)."""
-        return cls().with_overrides(**flat_kwargs)
-
 
 @dataclass(frozen=True)
 class ServeConfig:

@@ -43,8 +43,7 @@ class PlanCache:
                  compile_fn: Callable | None = None,
                  artifact_dir: str | Path | None = None,
                  key_fn: Callable[[str], str] | None = None,
-                 disk_max_bytes: int | None = None,
-                 **compile_kwargs) -> None:
+                 disk_max_bytes: int | None = None) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         if disk_max_bytes is not None and disk_max_bytes < 1:
@@ -55,7 +54,6 @@ class PlanCache:
         else:
             from ..deploy import compile as deploy_compile
             self._compile = deploy_compile
-        self.compile_kwargs = compile_kwargs
         self.artifact_dir = Path(artifact_dir) if artifact_dir is not None else None
         self.disk_max_bytes = disk_max_bytes
         self._key_fn = key_fn
@@ -223,7 +221,7 @@ class PlanCache:
             if name in self._ever_resident:
                 self.recompiles += 1
             start = time.perf_counter()
-            entry = self._compile(name, **self.compile_kwargs)
+            entry = self._compile(name)
             elapsed = time.perf_counter() - start
             self.compile_s[name] = elapsed
             self.total_compile_s += elapsed

@@ -1,4 +1,4 @@
-"""Multi-model fleet server on the engine's virtual clock.
+"""Multi-model fleet server: one request lifecycle, driven on two clocks.
 
 :class:`FleetServer` serves a stream of :class:`~repro.serving.workload.Request`
 objects against a fleet of registry models.  Per-model request queues are
@@ -8,38 +8,38 @@ through :func:`repro.deploy.compile`, LRU eviction, optional disk-backed
 artifact tier), and arrivals pass through
 :class:`~repro.serving.admission.AdmissionController` before queueing.
 
-Time is *virtual* by default, following ``BatchedRunner``'s convention: a
-batch starts once its queue's launch condition and a worker's availability
-allow, and advances the clock by its **measured** compute time (or by a
-caller-supplied ``compute_time_fn(model, fill) -> seconds`` for
-deterministic simulation — the engine still executes for real so outputs
-stay bit-exact).  ``execution="real"`` instead drives the dispatch workers
-as an actual thread pool over per-model tape engines and reports measured
-wall-clock throughput/latency, with megabatch coalescing of backlogged
-policy batches (see :meth:`FleetServer._serve_real`).
+The request lifecycle (shed, admit, preempt, queue, fail-or-retry, complete,
+with the metrics, outcomes and request spans of each step) lives once, in
+the per-run :class:`~repro.serving._session._ServeSession`.  This module
+holds the two *drivers* that feed it, which differ only in their clock and
+in how they find the next batch to run:
+
+* :meth:`FleetServer._serve_virtual` (``execution="virtual"``, the default)
+  is a discrete-event scheduler that interleaves two event kinds in time
+  order: request arrivals, and batch launches (earliest ready queue on the
+  earliest free worker, ties broken by oldest queued request then model
+  name).  Arrivals at or before a launch instant are ingested first so
+  they can join the batch.  A batch advances the clock by its **measured**
+  compute time, or by a caller-supplied ``compute_time_fn(model, fill) ->
+  seconds`` for deterministic simulation — the engine still executes for
+  real so outputs stay bit-exact.
+* :meth:`FleetServer._serve_real` (``execution="real"``) runs the dispatch
+  workers as threads on the wall clock — over in-process tape engines
+  (``backend="thread"``) or proxying to worker processes
+  (``backend="process"``, see :mod:`repro.serving.procfleet`) — and reports
+  measured throughput and latency.  It owns the scheduler lock, the claim
+  of the deepest idle queue, supervision and the pacers of
+  :mod:`repro.serving.workload`.
+
+Because both drivers report every arrival, failed launch and finished batch
+through the same session, a virtual prediction and a wall-clock measurement
+of one stream share their policy code by construction.
 
 One concurrency knob: ``workers=N`` dispatch workers.  Batches for
 *different models* launch concurrently (each model still serializes on its
 own engine); with one worker the server degrades to the strict
 single-worker serialization where batching policy and admission control
 matter most.
-
-Real execution picks its **backend**: ``backend="thread"`` (default) drives
-the dispatch workers as a thread pool in-process; ``backend="process"``
-scales out to N worker *processes* (see
-:class:`~repro.serving.procfleet.ProcessFleetBackend`), each hosting
-per-process tape engines warmed from ``.rpa`` artifacts, with request
-images and output codes moving through ``multiprocessing.shared_memory``
-arenas — the pure-int64 kernel lane stops being GIL-bound.  Real execution
-also picks its **pacing**: ``"flood"`` (deterministic ingestion, then
-drain), ``"open"`` (arrival-paced releases independent of completions) or
-``"closed"`` (completion-gated releases); see
-:mod:`repro.serving.workload`.
-
-The discrete-event loop interleaves two event kinds in time order: request
-arrivals (admission + enqueue) and batch launches (earliest ready queue,
-ties broken by oldest queued request then model name).  Arrivals at or
-before a launch instant are ingested first so they can join the batch.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import math
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -69,12 +68,12 @@ from ..faults import (
 )
 from ..engine.runner import run_partial_groups
 from ..models.registry import MODEL_REGISTRY, available_models
-from ..telemetry.trace import (NULL_TRACER, TelemetryConfig, Trace, Tracer,
+from ..telemetry.trace import (NULL_TRACER, TelemetryConfig, Tracer,
                                attach_tape_sink)
+from ._session import FleetReport, ServedRequest, _ServeSession
 from .admission import AdmissionController, AdmissionPolicy, EwmaCostModel
-from .batcher import BatchingPolicy, DynamicBatcher
+from .batcher import BatchingPolicy
 from .cache import PlanCache
-from .metrics import MetricsCollector
 from .workload import ClosedLoopPacer, OpenLoopPacer, Request, fleet_input_shapes
 
 __all__ = ["ServedRequest", "FleetReport", "FleetServer"]
@@ -83,111 +82,36 @@ __all__ = ["ServedRequest", "FleetReport", "FleetServer"]
 #: instead costs the recv deadline); keeps chaos makespans deterministic
 _VIRTUAL_FAULT_DETECT_S = 1e-3
 
-
-@dataclass(frozen=True)
-class ServedRequest:
-    """Terminal outcome of one request: completed, shed, or failed.
-
-    ``"failed"`` is the fault plane's terminal state: the request was
-    admitted, its batch(es) faulted, and the retry budget (attempts or
-    deadline) ran out — ``failure_reason`` names the last fault kind and
-    ``retries`` counts the extra attempts that were spent.  Completed
-    requests also carry ``retries`` (> 0 when a fault made them run more
-    than once before succeeding).
-    """
-
-    request_id: int
-    model: str
-    status: str                          # "completed" | "shed" | "failed"
-    latency_s: float | None = None
-    codes: np.ndarray | None = None
-    shed_reason: str | None = None       # "queue_full" | "slo" | "preempted" | "breaker"
-    batch_index: int | None = None
-    batch_fill: int | None = None
-    worker_index: int | None = None      # dispatch worker that ran the batch
-    priority: int = 0
-    #: wall-clock offset (s from serve start) the request was offered at —
-    #: set by paced real serving, ``None`` on the virtual clock and floods
-    release_s: float | None = None
-    #: extra executions spent on this request beyond the first attempt
-    retries: int = 0
-    #: fault kind that terminated a ``"failed"`` request
-    failure_reason: str | None = None
-
-    @property
-    def completed(self) -> bool:
-        return self.status == "completed"
-
-    @property
-    def failed(self) -> bool:
-        return self.status == "failed"
+_FAULT_PLANE_TYPES = {"telemetry": TelemetryConfig, "faults": FaultPlan,
+                      "retry": RetryPolicy, "breaker": BreakerPolicy}
 
 
-@dataclass
-class FleetReport:
-    """Everything one serve run produced: outcomes, metrics, cache counters."""
+def _tape_spans(tracer, telemetry, engine, worker_index: int,
+                wall_origin: float, base: float):
+    """Record ``engine``'s tape instructions as spans on the worker's tape
+    lane while a traced batch runs.  Instructions are stamped on the wall
+    clock; a stamp ``t`` lands at ``base + (t - wall_origin)`` on the trace
+    clock.  Returns the detach callable, or ``None`` when tape spans are off
+    or the engine runs no tape (a steps-mode engine)."""
+    if telemetry is None or not telemetry.tape_spans or engine.tape is None:
+        return None
+    lane = f"worker-{worker_index}-tape"
 
-    policy: str
-    outcomes: list[ServedRequest]
-    metrics: dict
-    cache: dict
-    cost_model_s: dict
-    wall_time_s: float = 0.0
-    workers: int = 1
-    execution: str = "virtual"
-    backend: str = "event-loop"          # "event-loop" | "thread" | "process"
-    pacing: str = "virtual"              # "virtual" | "flood" | "open" | "closed"
-    #: request-span trace when the run was served with telemetry enabled
-    trace: Trace | None = None
+    def emit(name, args, t0, t1):
+        tracer.record(name, "tape", base + (t0 - wall_origin),
+                      base + (t1 - wall_origin), lane=lane, args=args)
 
-    @property
-    def fleet(self) -> dict:
-        return self.metrics["fleet"]
+    return attach_tape_sink(engine.tape, emit)
 
-    @property
-    def faults(self) -> dict | None:
-        """Fault-plane block (injection, retries, breaker, supervisor) when
-        the run was served with any resilience feature active."""
-        return self.metrics.get("faults")
 
-    @property
-    def completed(self) -> int:
-        return self.fleet["completed"]
-
-    @property
-    def shed(self) -> int:
-        return self.fleet["shed"]
-
-    def latency_ms(self, percentile: str = "p99") -> float:
-        return self.fleet["latency_ms"][percentile]
-
-    def to_dict(self) -> dict:
-        """JSON-serializable view (outcomes and trace elided — use
-        :meth:`save_trace` for the trace)."""
-        return {
-            "policy": self.policy,
-            "workers": self.workers,
-            "execution": self.execution,
-            "backend": self.backend,
-            "pacing": self.pacing,
-            "metrics": self.metrics,
-            "cache": self.cache,
-            "cost_model_s": self.cost_model_s,
-            "wall_time_s": self.wall_time_s,
-        }
-
-    def save_trace(self, path) -> Path:
-        """Write the run's Chrome ``trace_event`` JSON (Perfetto-loadable)."""
-        if self.trace is None:
-            raise ValueError(
-                "this report carries no trace; serve with "
-                "telemetry=TelemetryConfig(sample_rate=...) to record one")
-        return self.trace.save(path)
-
-    def prometheus(self, namespace: str = "repro") -> str:
-        """Prometheus text exposition of the run's metrics."""
-        from ..telemetry.export import prometheus_text
-        return prometheus_text(self.metrics, namespace=namespace)
+def _check_fault_plane(**values) -> None:
+    """Type-check ``telemetry`` / ``faults`` / ``retry`` / ``breaker``
+    wherever the server accepts them (constructor and per-run overrides)."""
+    for name, value in values.items():
+        expected = _FAULT_PLANE_TYPES[name]
+        if value is not None and not isinstance(value, expected):
+            raise TypeError(f"{name} must be a {expected.__name__} or None, "
+                            f"got {type(value).__name__}")
 
 
 class FleetServer:
@@ -199,7 +123,6 @@ class FleetServer:
                  policy: BatchingPolicy | None = None,
                  admission: AdmissionPolicy | None = None,
                  cache_capacity: int | None = None,
-                 compile_kwargs: dict | None = None,
                  compile_config: CompileConfig | None = None,
                  artifact_dir=None,
                  compute_time_fn: Callable[[str, int], float] | None = None,
@@ -231,10 +154,9 @@ class FleetServer:
         self.batch_size = batch_size
 
         # One typed compile config drives every cache compile (and the disk
-        # tier's content address); legacy flat compile_kwargs are routed in.
+        # tier's content address).
         config = (compile_config if compile_config is not None
-                  else CompileConfig.create(**dict(compile_kwargs or {})))
-        config = config.with_overrides(batch_size=batch_size)
+                  else CompileConfig()).with_overrides(batch_size=batch_size)
         if image_size is not None:
             config = config.with_overrides(image_size=image_size)
         self.compile_config = config
@@ -263,19 +185,9 @@ class FleetServer:
         self.compute_time_fn = compute_time_fn
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if telemetry is not None and not isinstance(telemetry, TelemetryConfig):
-            raise TypeError(f"telemetry must be a TelemetryConfig or None, "
-                            f"got {type(telemetry).__name__}")
+        _check_fault_plane(telemetry=telemetry, faults=faults, retry=retry,
+                           breaker=breaker)
         self.telemetry = telemetry
-        if faults is not None and not isinstance(faults, FaultPlan):
-            raise TypeError(f"faults must be a FaultPlan or None, "
-                            f"got {type(faults).__name__}")
-        if retry is not None and not isinstance(retry, RetryPolicy):
-            raise TypeError(f"retry must be a RetryPolicy or None, "
-                            f"got {type(retry).__name__}")
-        if breaker is not None and not isinstance(breaker, BreakerPolicy):
-            raise TypeError(f"breaker must be a BreakerPolicy or None, "
-                            f"got {type(breaker).__name__}")
         self.faults = faults
         self.retry = retry
         self.breaker = breaker
@@ -378,46 +290,34 @@ class FleetServer:
             seen_ids.add(req.request_id)
         pacer, pacing_name = self._make_pacer(reqs, pacing, time_scale,
                                               closed_concurrency)
-        config = telemetry if telemetry is not None else self.telemetry
-        if config is not None and not isinstance(config, TelemetryConfig):
-            raise TypeError(f"telemetry must be a TelemetryConfig or None, "
-                            f"got {type(config).__name__}")
-        tracer = (Tracer(config, clock="wall" if self.execution == "real"
-                         else "virtual")
-                  if config is not None and config.enabled else NULL_TRACER)
-        plan = faults if faults is not None else self.faults
-        retry_policy = retry if retry is not None else self.retry
-        breaker_policy = breaker if breaker is not None else self.breaker
-        if plan is not None and not isinstance(plan, FaultPlan):
-            raise TypeError(f"faults must be a FaultPlan or None, "
-                            f"got {type(plan).__name__}")
-        if retry_policy is not None and not isinstance(retry_policy, RetryPolicy):
-            raise TypeError(f"retry must be a RetryPolicy or None, "
-                            f"got {type(retry_policy).__name__}")
-        if breaker_policy is not None and not isinstance(breaker_policy,
-                                                         BreakerPolicy):
-            raise TypeError(f"breaker must be a BreakerPolicy or None, "
-                            f"got {type(breaker_policy).__name__}")
-        # The breaker state machine is per-run so reports stay self-contained.
-        breaker_rt = (CircuitBreaker(breaker_policy)
-                      if breaker_policy is not None else None)
-        corrupted = (self._apply_artifact_faults(plan)
-                     if plan is not None else {})
-        injector = plan.injector() if plan is not None else None
-        if self.execution == "real":
-            return self._serve_real(reqs, pacer=pacer, pacing_name=pacing_name,
-                                    tracer=tracer, telemetry=config,
-                                    plan=plan, injector=injector,
-                                    retry=retry_policy, breaker=breaker_rt,
-                                    corrupted=corrupted)
-        if pacer is not None:
+        real = self.execution == "real"
+        if pacer is not None and not real:
             raise ValueError(f"pacing={pacing_name!r} requires execution='real'; "
                              f"the virtual discrete-event loop paces arrivals "
                              f"on its own clock (open-loop by construction)")
-        return self._serve_virtual(reqs, tracer=tracer, telemetry=config,
-                                   plan=plan, injector=injector,
-                                   retry=retry_policy, breaker=breaker_rt,
-                                   corrupted=corrupted)
+        config = telemetry if telemetry is not None else self.telemetry
+        plan = faults if faults is not None else self.faults
+        retry = retry if retry is not None else self.retry
+        breaker = breaker if breaker is not None else self.breaker
+        _check_fault_plane(telemetry=config, faults=plan, retry=retry,
+                           breaker=breaker)
+        tracer = (Tracer(config, clock="wall" if real else "virtual")
+                  if config is not None and config.enabled else NULL_TRACER)
+        corrupted = (self._apply_artifact_faults(plan)
+                     if plan is not None else {})
+        injector = plan.injector() if plan is not None else None
+        session = _ServeSession(
+            self, execution=self.execution,
+            backend=self.backend if real else "event-loop",
+            pacing=pacing_name if real else "virtual",
+            tracer=tracer, telemetry=config, plan=plan, retry=retry,
+            # The breaker state machine is per-run so reports stay
+            # self-contained.
+            breaker=CircuitBreaker(breaker) if breaker is not None else None,
+            corrupted=corrupted)
+        if real:
+            return self._serve_real(reqs, session, pacer, injector)
+        return self._serve_virtual(reqs, session, injector)
 
     def _apply_artifact_faults(self, plan: FaultPlan) -> dict[str, int]:
         """Fire ``artifact_corrupt`` events: torn-write the disk-tier ``.rpa``
@@ -449,12 +349,9 @@ class FleetServer:
                              f"pacer instance, got {pacing!r}")
         return pacing, getattr(pacing, "kind", "custom")
 
-    def _serve_virtual(self, reqs: list[Request], tracer=NULL_TRACER,
-                       telemetry: TelemetryConfig | None = None,
-                       plan: FaultPlan | None = None, injector=None,
-                       retry: RetryPolicy | None = None, breaker=None,
-                       corrupted: dict | None = None) -> FleetReport:
-        """The discrete-event loop over a pre-validated, sorted stream.
+    def _serve_virtual(self, reqs: list[Request], session: _ServeSession,
+                       injector) -> FleetReport:
+        """The discrete-event scheduler over a pre-validated, sorted stream.
 
         The fault plane runs on the virtual clock: injected failures fail
         the launched batch without an engine pass and advance the clock by
@@ -465,24 +362,13 @@ class FleetServer:
         arrivals — so a chaos run's outcomes and makespan are exactly
         reproducible, machine-independent numbers.
         """
-        wall_start = time.perf_counter()
+        tracer, telemetry, retry = session.tracer, session.telemetry, session.retry
+        queues = session.queues
         pending = {m: 0 for m in self.fleet}
         for req in reqs:
             pending[req.model] += 1
-        queues = {m: DynamicBatcher(m, self.policy) for m in self.fleet}
-        metrics = MetricsCollector(self.fleet)
-        outcomes: dict[int, ServedRequest] = {}
-        admission_before = self.admission.stats()
-        #: sampled requests still in flight: request_id -> span start (arrival)
-        traced: dict[int, float] = {}
-        #: fault plane: executions per request, models' consecutive-failure
-        #: streaks (drive retry backoff), and modeled supervisor counters
-        attempts: dict[int, int] = {}
-        retried_ids: set[int] = set()
-        fail_streak = {m: 0 for m in self.fleet}
-        observed_faults: dict[str, int] = {}
-        respawn_s: list[float] = []
-        virtual_crashes = virtual_timeouts = 0
+        #: modeled cost of respawning a crashed or hung worker
+        respawn_cost = retry.respawn_backoff_s if retry is not None else 0.0
 
         # N dispatch workers on the virtual clock; a batch launches on the
         # earliest-free worker.  Each model additionally serializes on its
@@ -492,7 +378,6 @@ class FleetServer:
         worker_free = [0.0] * self.workers
         model_free = {m: 0.0 for m in self.fleet}
         last_event = 0.0
-        batch_index = 0
         i, n = 0, len(reqs)
         while True:
             free_slot = min(worker_free)
@@ -514,84 +399,11 @@ class FleetServer:
                 i += 1
                 pending[req.model] -= 1
                 last_event = max(last_event, req.arrival_s)
-                metrics.record_arrival(req.model, req.arrival_s)
-                if breaker is not None and not breaker.allow(req.model,
-                                                             req.arrival_s):
-                    # Open breaker: shed fast instead of queueing into a
-                    # model that keeps failing.
-                    metrics.record_shed(req.model, "breaker",
-                                        now=req.arrival_s)
-                    outcomes[req.request_id] = ServedRequest(
-                        request_id=req.request_id, model=req.model,
-                        status="shed", shed_reason="breaker",
-                        priority=req.priority)
-                    if tracer.enabled and tracer.sampled(req.request_id):
-                        tracer.record("request", "request", req.arrival_s,
-                                      req.arrival_s,
-                                      lane=f"req-{req.request_id}",
-                                      trace_id=req.request_id,
-                                      args={"status": "shed",
-                                            "reason": "breaker",
-                                            "model": req.model})
-                    metrics.record_queue_depth(
-                        req.arrival_s, sum(q.depth for q in queues.values()))
-                    continue
                 # The request cannot start before a worker is free AND its
                 # model's engine is free (one engine per model).
-                earliest_start = max(free_slot, model_free[req.model])
-                decision = self.admission.consider(req, req.arrival_s,
-                                                   earliest_start,
-                                                   queues, self.policy)
-                req_traced = tracer.enabled and tracer.sampled(req.request_id)
-                if req_traced:
-                    lane = f"req-{req.request_id}"
-                    tracer.record(
-                        "admission", "admission", req.arrival_s, req.arrival_s,
-                        lane=lane, trace_id=req.request_id,
-                        args={"admitted": decision.admitted,
-                              "reason": decision.reason,
-                              "predicted_ms": (decision.predicted_latency_s * 1e3
-                                               if decision.predicted_latency_s
-                                               is not None else None)})
-                if decision.admitted:
-                    for victim in decision.evicted:
-                        queues[victim.model].remove(victim)
-                        metrics.record_shed(victim.model, "preempted",
-                                            now=req.arrival_s)
-                        outcomes[victim.request_id] = ServedRequest(
-                            request_id=victim.request_id, model=victim.model,
-                            status="shed", shed_reason="preempted",
-                            priority=victim.priority)
-                        start = traced.pop(victim.request_id, None)
-                        if start is not None:
-                            vlane = f"req-{victim.request_id}"
-                            tracer.record("queue", "queue", start, req.arrival_s,
-                                          lane=vlane, trace_id=victim.request_id,
-                                          args={"outcome": "preempted"})
-                            tracer.record("request", "request", start,
-                                          req.arrival_s, lane=vlane,
-                                          trace_id=victim.request_id,
-                                          args={"status": "shed",
-                                                "reason": "preempted",
-                                                "model": victim.model})
-                    queues[req.model].push(req)
-                    if req_traced:
-                        traced[req.request_id] = req.arrival_s
-                else:
-                    metrics.record_shed(req.model, decision.reason,
-                                        now=req.arrival_s)
-                    outcomes[req.request_id] = ServedRequest(
-                        request_id=req.request_id, model=req.model, status="shed",
-                        shed_reason=decision.reason, priority=req.priority)
-                    if req_traced:
-                        tracer.record("request", "request", req.arrival_s,
-                                      req.arrival_s, lane=lane,
-                                      trace_id=req.request_id,
-                                      args={"status": "shed",
-                                            "reason": decision.reason,
-                                            "model": req.model})
-                metrics.record_queue_depth(req.arrival_s,
-                                           sum(q.depth for q in queues.values()))
+                session.admit(req, req.arrival_s,
+                              max(free_slot, model_free[req.model]),
+                              req.arrival_s, req.arrival_s)
                 continue
             if best is None:
                 break
@@ -608,92 +420,41 @@ class FleetServer:
                 # Modeled batch failure: no engine pass, no codes.  The
                 # clock advances by the detection cost; crashes and hangs
                 # also hold the worker for the modeled respawn.
-                observed_faults[event.kind] = observed_faults.get(event.kind,
-                                                                  0) + 1
                 if event.kind == "task_hang":
                     detect = (min(event.duration_s, retry.task_timeout_s)
                               if retry is not None else event.duration_s)
-                    virtual_timeouts += 1
                 else:
                     detect = _VIRTUAL_FAULT_DETECT_S
-                    if event.kind == "worker_crash":
-                        virtual_crashes += 1
                 finish = launch_t + detect
-                recovery = 0.0
-                if event.kind in ("worker_crash", "task_hang"):
-                    recovery = (retry.respawn_backoff_s
-                                if retry is not None else 0.0)
-                    respawn_s.append(recovery)
+                recovery = (respawn_cost if event.kind in ("worker_crash",
+                                                           "task_hang")
+                            else 0.0)
                 worker_free[worker_index] = finish + recovery
-                fail_streak[model] += 1
-                backoff = (retry.attempt_backoff_s(fail_streak[model])
-                           if retry is not None else 0.0)
-                model_free[model] = finish + backoff
                 last_event = max(last_event, finish + recovery)
-                if breaker is not None:
-                    breaker.record(model, False, finish)
                 if tracer.enabled:
                     tracer.record(event.kind, "fault", launch_t, finish,
                                   lane=f"worker-{worker_index}",
                                   args={"model": model, "fill": fill,
-                                        "batch_index": batch_index})
+                                        "batch_index": session.batch_index})
                     if recovery:
                         tracer.record("respawn", "fault", finish,
                                       finish + recovery,
                                       lane=f"worker-{worker_index}",
                                       args={"worker": worker_index,
                                             "recovery_s": recovery})
-                for req in batch:
-                    n_attempts = attempts.get(req.request_id, 0) + 1
-                    attempts[req.request_id] = n_attempts
-                    if retry is None or retry.exhausted(
-                            n_attempts, finish - req.arrival_s):
-                        metrics.record_failed(model, event.kind, now=finish)
-                        outcomes[req.request_id] = ServedRequest(
-                            request_id=req.request_id, model=model,
-                            status="failed", failure_reason=event.kind,
-                            retries=n_attempts - 1, priority=req.priority,
-                            worker_index=worker_index)
-                        start_t = traced.pop(req.request_id, None)
-                        if start_t is not None:
-                            lane = f"req-{req.request_id}"
-                            tracer.record("queue", "queue", start_t, launch_t,
-                                          lane=lane, trace_id=req.request_id,
-                                          args={"model": model})
-                            tracer.record("request", "request", start_t,
-                                          finish, lane=lane,
-                                          trace_id=req.request_id,
-                                          args={"status": "failed",
-                                                "reason": event.kind,
-                                                "model": model})
-                    else:
-                        queues[model].push(req)
-                        metrics.record_retry(model)
-                        retried_ids.add(req.request_id)
-                metrics.record_queue_depth(finish,
-                                           sum(q.depth for q in queues.values()))
-                batch_index += 1
+                _, backoff, _ = session.fail_batch(
+                    worker_index, model, batch, event.kind, finish, launch_t,
+                    finish)
+                model_free[model] = finish + backoff
                 continue
             engine = self.cache.get(model).engine
             images = np.stack([r.image for r in batch])
             batch_traced = tracer.enabled and any(
-                r.request_id in traced for r in batch)
-            detach = None
-            if batch_traced and telemetry is not None and telemetry.tape_spans:
-                tape = engine.tape   # None on a steps-mode engine
-                if tape is not None:
-                    # Tape instructions are stamped on the wall clock; remap
-                    # them onto the virtual clock relative to the launch.
-                    wall0 = time.perf_counter()
-                    tape_lane = f"worker-{worker_index}-tape"
-
-                    def emit(name, args, t0, t1, _wall0=wall0,
-                             _launch=launch_t, _lane=tape_lane):
-                        tracer.record(name, "tape", _launch + (t0 - _wall0),
-                                      _launch + (t1 - _wall0), lane=_lane,
-                                      args=args)
-
-                    detach = attach_tape_sink(tape, emit)
+                r.request_id in session.traced for r in batch)
+            # Tape spans land on the virtual clock relative to the launch.
+            detach = (_tape_spans(tracer, telemetry, engine, worker_index,
+                                  time.perf_counter(), launch_t)
+                      if batch_traced else None)
             try:
                 start = time.perf_counter()
                 output = engine.run_partial(images)
@@ -705,95 +466,32 @@ class FleetServer:
                        if self.compute_time_fn is not None else measured)
             if event is not None and event.kind == "slow_task":
                 # Straggler: correct codes, degraded timing.
-                observed_faults["slow_task"] = (
-                    observed_faults.get("slow_task", 0) + 1)
+                session.note_fault("slow_task")
                 compute += event.duration_s
             self.cost_model.observe(model, compute)
             finish = launch_t + compute
             worker_free[worker_index] = finish
             model_free[model] = finish
             last_event = max(last_event, finish)
-            fail_streak[model] = 0
-            if breaker is not None:
-                breaker.record(model, True, finish)
             if batch_traced:
                 tracer.record(model, "batch", launch_t, finish,
                               lane=f"worker-{worker_index}",
-                              args={"fill": fill, "batch_index": batch_index,
+                              args={"fill": fill,
+                                    "batch_index": session.batch_index,
                                     "compute_ms_wall": measured * 1e3})
-            for offset, req in enumerate(batch):
-                latency = finish - req.arrival_s
-                metrics.record_completion(model, latency, req.deadline_s,
-                                          now=finish)
-                outcomes[req.request_id] = ServedRequest(
-                    request_id=req.request_id, model=model, status="completed",
-                    latency_s=latency, codes=output.codes[offset].copy(),
-                    batch_index=batch_index, batch_fill=fill,
-                    worker_index=worker_index, priority=req.priority,
-                    retries=attempts.get(req.request_id, 0))
-                start_t = traced.pop(req.request_id, None)
-                if start_t is not None:
-                    lane = f"req-{req.request_id}"
-                    tracer.record("queue", "queue", start_t, launch_t, lane=lane,
-                                  trace_id=req.request_id, args={"model": model})
-                    tracer.record("execute", "execute", launch_t, finish,
-                                  lane=lane, trace_id=req.request_id,
-                                  args={"model": model, "fill": fill,
-                                        "batch_index": batch_index,
-                                        "worker": worker_index})
-                    tracer.record("request", "request", start_t, finish,
-                                  lane=lane, trace_id=req.request_id,
-                                  args={"status": "completed", "model": model,
-                                        "latency_ms": latency * 1e3})
-            # Padding is relative to the engine's bound batch shape: even a
-            # "full" policy batch below batch_size pays padded compute rows.
-            metrics.record_batch(model, fill, self.batch_size, compute,
-                                 now=finish)
-            metrics.record_queue_depth(finish, sum(q.depth for q in queues.values()))
-            batch_index += 1
+            session.complete_batch(worker_index, model, batch, output.codes,
+                                   compute, finish, launch_t, finish)
 
-        report = metrics.report(
-            makespan_s=last_event, workers=self.workers,
-            snapshot_interval_s=(telemetry.snapshot_interval_s
-                                 if telemetry is not None else None))
-        admission_after = self.admission.stats()
-        report["admission"] = {key: admission_after[key] - admission_before[key]
-                               for key in admission_after}
-        for model in self.fleet:
-            report["per_model"][model]["queue"] = queues[model].stats()
-        if plan is not None or retry is not None or breaker is not None:
-            report["faults"] = {
-                "plan": plan.to_dict() if plan is not None else None,
-                "injected": injector.stats() if injector is not None else None,
-                "observed": dict(observed_faults),
-                "retried_requests": len(retried_ids),
-                "retry_policy": retry.to_dict() if retry is not None else None,
-                "breaker": breaker.snapshot() if breaker is not None else None,
-                "supervisor": {
-                    "crashes": virtual_crashes,
-                    "timeouts": virtual_timeouts,
-                    "respawns": len(respawn_s),
-                    "respawn_s": [round(s, 6) for s in respawn_s],
-                },
-                "degraded_models": [],
-                "dead_workers": [],
-                "artifacts_corrupted": dict(corrupted or {}),
-            }
-        trace = tracer.finish({
-            "execution": "virtual", "backend": "event-loop",
-            "pacing": "virtual", "workers": self.workers,
-            "sample_rate": telemetry.sample_rate if telemetry else 0.0})
-        return FleetReport(
-            policy=self.policy.describe(),
-            outcomes=[outcomes[rid] for rid in sorted(outcomes)],
-            metrics=report,
-            cache=self.cache.stats(),
-            cost_model_s=self.cost_model.to_dict(),
-            wall_time_s=time.perf_counter() - wall_start,
-            workers=self.workers,
-            execution="virtual",
-            trace=trace,
-        )
+        # Every modeled crash or hang cost one respawn.
+        crashes = session.observed_faults.get("worker_crash", 0)
+        timeouts = session.observed_faults.get("task_hang", 0)
+        return session.report(
+            last_event,
+            supervisor={"crashes": crashes, "timeouts": timeouts,
+                        "respawns": crashes + timeouts,
+                        "respawn_s": ([round(respawn_cost, 6)]
+                                      * (crashes + timeouts))},
+            injected=injector.stats() if injector is not None else None)
 
     # ------------------------------------------------------------------ #
     def _export_artifacts(self, models: list[str]):
@@ -817,12 +515,8 @@ class FleetServer:
             paths[name] = str(path)
         return paths, tmpdir
 
-    def _serve_real(self, reqs: list[Request], pacer=None,
-                    pacing_name: str = "flood", tracer=NULL_TRACER,
-                    telemetry: TelemetryConfig | None = None,
-                    plan: FaultPlan | None = None, injector=None,
-                    retry: RetryPolicy | None = None, breaker=None,
-                    corrupted: dict | None = None) -> FleetReport:
+    def _serve_real(self, reqs: list[Request], session: _ServeSession,
+                    pacer, injector) -> FleetReport:
         """Wall-clock serving: N dispatch workers draining real queues.
 
         **Faults & supervision.** With ``retry`` set the dispatch workers
@@ -859,128 +553,38 @@ class FleetServer:
         under thread/process scheduling is nondeterministic, but every plan
         op is per-sample independent, so per-request output codes are not.
         """
-        wall_start = time.perf_counter()
+        tracer, telemetry = session.tracer, session.telemetry
+        retry, breaker, queues = session.retry, session.breaker, session.queues
         # Trace clock origin: flood ingestion and backend spawn happen before
         # serve_start, so spans measure from here (latency and makespan keep
         # measuring from serve_start — their semantics are unchanged).
-        serve_origin = wall_start
+        serve_origin = session.wall_start
 
         def now_s() -> float:
             return time.perf_counter() - serve_origin
 
-        metrics = MetricsCollector(self.fleet)
-        outcomes: dict[int, ServedRequest] = {}
-        queues = {m: DynamicBatcher(m, self.policy) for m in self.fleet}
-        admission_before = self.admission.stats()
-        #: sampled requests still in flight: request_id -> admission stamp
-        #: (trace clock); guarded by the scheduler lock like the queues
-        traced: dict[int, float] = {}
+        #: the session wants a trace-clock stamp for spans and for the breaker
+        stamped = tracer.enabled or breaker is not None
 
         lock = threading.Lock()
         work_ready = threading.Condition(lock)
         model_busy = {m: False for m in self.fleet}
-        state = {"remaining": 0, "batch_index": 0, "ingesting": pacer is not None}
-        release: dict[int, float] = {}
+        ingesting = pacer is not None
         failures: list[BaseException] = []
         #: fault plane (guarded by the scheduler lock unless noted)
         supervised = retry is not None
-        attempts: dict[int, int] = {}
-        retried_ids: set[int] = set()
-        fail_streak = {m: 0 for m in self.fleet}
-        observed_faults: dict[str, int] = {}
         #: model -> wall deadline (perf_counter) before which pop_work skips it
         model_hold: dict[str, float] = {}
         degraded_models: set[str] = set()
         dead_workers: set[int] = set()
-
-        def admit(req: Request, now: float, depth_t: float,
-                  signal: list[int]) -> None:
-            """One admission decision under the scheduler lock.
-
-            Shed/preempted request ids are appended to ``signal`` so the
-            caller can notify the pacer *after* releasing the lock.
-            """
-            metrics.record_arrival(req.model, req.arrival_s)
-            if breaker is not None and not breaker.allow(req.model, now_s()):
-                # Open breaker: shed fast instead of queueing into a model
-                # that keeps failing.
-                metrics.record_shed(req.model, "breaker", now=depth_t)
-                outcomes[req.request_id] = ServedRequest(
-                    request_id=req.request_id, model=req.model, status="shed",
-                    shed_reason="breaker", priority=req.priority,
-                    release_s=release.get(req.request_id))
-                signal.append(req.request_id)
-                if tracer.enabled and tracer.sampled(req.request_id):
-                    span_t = now_s()
-                    tracer.record("request", "request", span_t, span_t,
-                                  lane=f"req-{req.request_id}",
-                                  trace_id=req.request_id,
-                                  args={"status": "shed", "reason": "breaker",
-                                        "model": req.model})
-                metrics.record_queue_depth(depth_t,
-                                           sum(q.depth for q in queues.values()))
-                return
-            decision = self.admission.consider(req, now, now, queues, self.policy)
-            req_traced = tracer.enabled and tracer.sampled(req.request_id)
-            span_t = now_s() if tracer.enabled else 0.0
-            if decision.admitted:
-                for victim in decision.evicted:
-                    queues[victim.model].remove(victim)
-                    state["remaining"] -= 1
-                    metrics.record_shed(victim.model, "preempted", now=depth_t)
-                    outcomes[victim.request_id] = ServedRequest(
-                        request_id=victim.request_id, model=victim.model,
-                        status="shed", shed_reason="preempted",
-                        priority=victim.priority,
-                        release_s=release.get(victim.request_id))
-                    signal.append(victim.request_id)
-                    start = traced.pop(victim.request_id, None)
-                    if start is not None:
-                        vlane = f"req-{victim.request_id}"
-                        tracer.record("queue", "queue", start, span_t,
-                                      lane=vlane, trace_id=victim.request_id,
-                                      args={"outcome": "preempted"})
-                        tracer.record("request", "request", start, span_t,
-                                      lane=vlane, trace_id=victim.request_id,
-                                      args={"status": "shed",
-                                            "reason": "preempted",
-                                            "model": victim.model})
-                queues[req.model].push(req)
-                state["remaining"] += 1
-                if req_traced:
-                    traced[req.request_id] = span_t
-            else:
-                metrics.record_shed(req.model, decision.reason, now=depth_t)
-                outcomes[req.request_id] = ServedRequest(
-                    request_id=req.request_id, model=req.model, status="shed",
-                    shed_reason=decision.reason, priority=req.priority,
-                    release_s=release.get(req.request_id))
-                signal.append(req.request_id)
-            if req_traced:
-                lane = f"req-{req.request_id}"
-                tracer.record(
-                    "admission", "admission", span_t, span_t, lane=lane,
-                    trace_id=req.request_id,
-                    args={"admitted": decision.admitted,
-                          "reason": decision.reason,
-                          "predicted_ms": (decision.predicted_latency_s * 1e3
-                                           if decision.predicted_latency_s
-                                           is not None else None)})
-                if not decision.admitted:
-                    tracer.record("request", "request", span_t, span_t,
-                                  lane=lane, trace_id=req.request_id,
-                                  args={"status": "shed",
-                                        "reason": decision.reason,
-                                        "model": req.model})
-            metrics.record_queue_depth(depth_t,
-                                       sum(q.depth for q in queues.values()))
 
         if pacer is None:
             # Deterministic admission pass (flood ingestion).  Ingestion
             # happens before the wall clock starts; stamping the depth
             # samples at t=0 keeps the timeline on one (wall) clock.
             for req in reqs:
-                admit(req, req.arrival_s, 0.0, [])
+                session.admit(req, req.arrival_s, req.arrival_s, 0.0,
+                              now_s() if stamped else 0.0)
 
         # Pin every requested model's engine resident before the drain (the
         # LRU cache is not touched from worker threads; paced arrivals may
@@ -1000,7 +604,7 @@ class FleetServer:
                      for m in needed}
             proc_backend = ProcessFleetBackend(
                 specs, artifact_paths, workers=self.workers,
-                mp_context=self.mp_context, faults=plan,
+                mp_context=self.mp_context, faults=session.plan,
                 task_timeout_s=(retry.task_timeout_s if retry is not None
                                 else 60.0),
                 max_respawns=(retry.max_respawns if retry is not None else 2),
@@ -1044,7 +648,6 @@ class FleetServer:
                 groups.append(batch)
                 total += len(batch)
             model_busy[best_model] = True
-            state["remaining"] -= total
             return best_model, groups
 
         def execute(worker_index: int, model: str, images: list[np.ndarray],
@@ -1086,17 +689,9 @@ class FleetServer:
                     raise InjectedFault(event)
                 if event is not None:   # slow_task: straggle, then run
                     time.sleep(event.duration_s)
-            detach = None
-            if trace_batch and telemetry is not None and telemetry.tape_spans:
-                tape = engines[model].tape   # None on a steps-mode engine
-                if tape is not None:
-                    tape_lane = f"worker-{worker_index}-tape"
-
-                    def emit(name, args, t0, t1, _lane=tape_lane):
-                        tracer.record(name, "tape", t0 - serve_origin,
-                                      t1 - serve_origin, lane=_lane, args=args)
-
-                    detach = attach_tape_sink(tape, emit)
+            detach = (_tape_spans(tracer, telemetry, engines[model],
+                                  worker_index, serve_origin, 0.0)
+                      if trace_batch else None)
             try:
                 start = time.perf_counter()
                 group_outputs, executions = run_partial_groups(engines[model],
@@ -1108,65 +703,34 @@ class FleetServer:
             return [out.codes for out in group_outputs], executions, elapsed
 
         def handle_failure(worker_index: int, model: str, groups,
-                           exc: BaseException) -> None:
+                           exc: BaseException, claim_t: float) -> None:
             """Supervised recovery from one failed megabatch dispatch.
 
-            Requeues the claimed requests within the retry budget (failing
-            the exhausted ones), backs the model off, records the breaker
-            outcome, respawns a crashed/hung process worker, and degrades
-            the model to the in-process path after a long failure streak.
+            The session requeues the claimed requests within the retry
+            budget (failing the exhausted ones) and records the breaker
+            outcome; this driver backs the model off on the wall clock,
+            respawns a crashed/hung process worker, and degrades the model
+            to the in-process path after a long failure streak.
             """
             kind = getattr(exc, "kind", "fault")
             now_fail = time.perf_counter() - serve_start
-            span_t = now_s() if tracer.enabled else 0.0
-            done_ids: list[int] = []
+            span_t = now_s() if stamped else 0.0
+            claimed = [req for batch in groups for req in batch]
             with work_ready:
-                observed_faults[kind] = observed_faults.get(kind, 0) + 1
-                if breaker is not None:
-                    breaker.record(model, False, now_s())
-                fail_streak[model] += 1
-                streak = fail_streak[model]
-                for batch in groups:
-                    for req in batch:
-                        n_attempts = attempts.get(req.request_id, 0) + 1
-                        attempts[req.request_id] = n_attempts
-                        age = now_fail - release.get(req.request_id, 0.0)
-                        if retry.exhausted(n_attempts, age):
-                            metrics.record_failed(model, kind, now=now_fail)
-                            outcomes[req.request_id] = ServedRequest(
-                                request_id=req.request_id, model=model,
-                                status="failed", failure_reason=kind,
-                                retries=n_attempts - 1, priority=req.priority,
-                                worker_index=worker_index,
-                                release_s=release.get(req.request_id))
-                            done_ids.append(req.request_id)
-                            start = traced.pop(req.request_id, None)
-                            if start is not None:
-                                tracer.record(
-                                    "request", "request", start, span_t,
-                                    lane=f"req-{req.request_id}",
-                                    trace_id=req.request_id,
-                                    args={"status": "failed", "reason": kind,
-                                          "model": model})
-                        else:
-                            queues[model].push(req)
-                            state["remaining"] += 1
-                            metrics.record_retry(model)
-                            retried_ids.add(req.request_id)
-                backoff = retry.attempt_backoff_s(streak)
+                streak, backoff, failed_ids = session.fail_batch(
+                    worker_index, model, claimed, kind, now_fail, claim_t,
+                    span_t)
                 if backoff > 0.0:
                     model_hold[model] = time.perf_counter() + backoff
-                metrics.record_queue_depth(
-                    now_fail, sum(q.depth for q in queues.values()))
                 model_busy[model] = False
                 work_ready.notify_all()
             if tracer.enabled:
                 tracer.record(kind, "fault", span_t, now_s(),
                               lane=f"worker-{worker_index}",
                               args={"model": model, "streak": streak,
-                                    "requests": sum(len(b) for b in groups)})
+                                    "requests": len(claimed)})
             if pacer is not None:
-                for request_id in done_ids:
+                for request_id in failed_ids:
                     pacer.on_completion(request_id)
             # A crashed or hung worker process needs a respawn before this
             # slot dispatches to the backend again; past the respawn budget
@@ -1202,8 +766,7 @@ class FleetServer:
                 with work_ready:
                     claim = pop_work()
                     while claim is None:
-                        if failures or (state["remaining"] == 0
-                                        and not state["ingesting"]):
+                        if failures or not (ingesting or session.depth()):
                             return
                         if model_hold:
                             # Timed wait: a hold expiring is not signaled.
@@ -1214,7 +777,7 @@ class FleetServer:
                 model, groups = claim
                 claim_t = now_s() if tracer.enabled else 0.0
                 batch_traced = tracer.enabled and any(
-                    req.request_id in traced for batch in groups
+                    req.request_id in session.traced for batch in groups
                     for req in batch)
                 try:
                     images = [np.stack([r.image for r in batch])
@@ -1223,7 +786,8 @@ class FleetServer:
                         worker_index, model, images, batch_traced)
                 except BaseException as exc:
                     if supervised and isinstance(exc, FaultError):
-                        handle_failure(worker_index, model, groups, exc)
+                        handle_failure(worker_index, model, groups, exc,
+                                       claim_t)
                         continue
                     # A dead worker must not strand the fleet: surface the
                     # failure, release the model, and wake the others so
@@ -1236,7 +800,7 @@ class FleetServer:
                         pacer.abort()
                     return
                 finish_wall = time.perf_counter() - serve_start
-                finish_t = now_s() if tracer.enabled else 0.0
+                finish_t = now_s() if stamped else 0.0
                 if batch_traced:
                     tracer.record(model, "batch", claim_t, finish_t,
                                   lane=f"worker-{worker_index}",
@@ -1245,81 +809,39 @@ class FleetServer:
                                         "executions": executions,
                                         "backend": self.backend,
                                         "compute_ms": elapsed * 1e3})
-                done_ids: list[int] = []
                 with work_ready:
-                    fail_streak[model] = 0
-                    if breaker is not None:
-                        breaker.record(model, True, now_s())
                     self.cost_model.observe(model, elapsed / max(1, executions))
-                    per_batch_s = elapsed / len(groups)
                     if len(groups) > 1:
-                        metrics.record_megabatch(model, len(groups))
+                        session.metrics.record_megabatch(model, len(groups))
                     for batch, codes in zip(groups, group_codes):
-                        batch_index = state["batch_index"]
-                        state["batch_index"] += 1
-                        fill = len(batch)
-                        metrics.record_batch(model, fill, self.batch_size,
-                                             per_batch_s, now=finish_wall)
-                        for offset, req in enumerate(batch):
-                            latency = finish_wall - release.get(req.request_id, 0.0)
-                            metrics.record_completion(model, latency,
-                                                      req.deadline_s,
-                                                      now=finish_wall)
-                            outcomes[req.request_id] = ServedRequest(
-                                request_id=req.request_id, model=model,
-                                status="completed", latency_s=latency,
-                                codes=codes[offset].copy(),
-                                batch_index=batch_index, batch_fill=fill,
-                                worker_index=worker_index,
-                                priority=req.priority,
-                                release_s=release.get(req.request_id),
-                                retries=attempts.get(req.request_id, 0))
-                            done_ids.append(req.request_id)
-                            start = traced.pop(req.request_id, None)
-                            if start is not None:
-                                lane = f"req-{req.request_id}"
-                                tracer.record("queue", "queue", start, claim_t,
-                                              lane=lane,
-                                              trace_id=req.request_id,
-                                              args={"model": model})
-                                tracer.record("execute", "execute", claim_t,
-                                              finish_t, lane=lane,
-                                              trace_id=req.request_id,
-                                              args={"model": model,
-                                                    "fill": fill,
-                                                    "batch_index": batch_index,
-                                                    "worker": worker_index,
-                                                    "backend": self.backend})
-                                tracer.record("request", "request", start,
-                                              finish_t, lane=lane,
-                                              trace_id=req.request_id,
-                                              args={"status": "completed",
-                                                    "model": model,
-                                                    "latency_ms": latency * 1e3})
-                    metrics.record_queue_depth(
-                        finish_wall, sum(q.depth for q in queues.values()))
+                        session.complete_batch(
+                            worker_index, model, batch, codes,
+                            elapsed / len(groups), finish_wall, claim_t,
+                            finish_t)
                     model_busy[model] = False
                     work_ready.notify_all()
                 if pacer is not None:
-                    for request_id in done_ids:
-                        pacer.on_completion(request_id)
+                    for batch in groups:
+                        for req in batch:
+                            pacer.on_completion(req.request_id)
 
         def ingest() -> None:
             """Paced ingestion: release requests on the wall clock."""
+            nonlocal ingesting
             try:
                 for req, now in pacer:
-                    signal: list[int] = []
                     with work_ready:
                         if failures:
                             break
-                        release[req.request_id] = now
-                        admit(req, now, now, signal)
+                        session.release[req.request_id] = now
+                        done_ids = session.admit(req, now, now, now,
+                                                 now_s() if stamped else 0.0)
                         work_ready.notify_all()
-                    for request_id in signal:
+                    for request_id in done_ids:
                         pacer.on_completion(request_id)
             finally:
                 with work_ready:
-                    state["ingesting"] = False
+                    ingesting = False
                     work_ready.notify_all()
 
         try:
@@ -1349,49 +871,14 @@ class FleetServer:
             if tmpdir is not None:
                 tmpdir.cleanup()
 
-        report = metrics.report(
-            makespan_s=makespan, workers=self.workers, execution="real",
-            snapshot_interval_s=(telemetry.snapshot_interval_s
-                                 if telemetry is not None else None))
-        admission_after = self.admission.stats()
-        report["admission"] = {key: admission_after[key] - admission_before[key]
-                               for key in admission_after}
-        for model in self.fleet:
-            report["per_model"][model]["queue"] = queues[model].stats()
-        if plan is not None or retry is not None or breaker is not None:
-            report["faults"] = {
-                "plan": plan.to_dict() if plan is not None else None,
-                # Parent-side injector stats are only meaningful on the
-                # thread backend; process workers carry their own injectors.
-                "injected": (injector.stats()
-                             if injector is not None and self.backend != "process"
-                             else None),
-                "observed": dict(observed_faults),
-                "retried_requests": len(retried_ids),
-                "retry_policy": retry.to_dict() if retry is not None else None,
-                "breaker": breaker.snapshot() if breaker is not None else None,
-                "supervisor": (supervisor_stats if supervisor_stats is not None
-                               else {"crashes": 0, "timeouts": 0,
-                                     "respawns": 0, "respawn_counts": [],
-                                     "respawn_s": []}),
-                "degraded_models": sorted(degraded_models),
-                "dead_workers": sorted(dead_workers),
-                "artifacts_corrupted": dict(corrupted or {}),
-            }
-        trace = tracer.finish({
-            "execution": "real", "backend": self.backend,
-            "pacing": pacing_name, "workers": self.workers,
-            "sample_rate": telemetry.sample_rate if telemetry else 0.0})
-        return FleetReport(
-            policy=self.policy.describe(),
-            outcomes=[outcomes[rid] for rid in sorted(outcomes)],
-            metrics=report,
-            cache=self.cache.stats(),
-            cost_model_s=self.cost_model.to_dict(),
-            wall_time_s=time.perf_counter() - wall_start,
-            workers=self.workers,
-            execution="real",
-            backend=self.backend,
-            pacing=pacing_name,
-            trace=trace,
-        )
+        return session.report(
+            makespan,
+            supervisor=(supervisor_stats if supervisor_stats is not None
+                        else {"crashes": 0, "timeouts": 0, "respawns": 0,
+                              "respawn_counts": [], "respawn_s": []}),
+            # Parent-side injector stats are only meaningful on the thread
+            # backend; process workers carry their own injectors.
+            injected=(injector.stats()
+                      if injector is not None and self.backend != "process"
+                      else None),
+            degraded_models=degraded_models, dead_workers=dead_workers)

@@ -66,9 +66,9 @@ def lenet_artifact(lenet_deployment, tmp_path_factory):
 # Config objects
 # ---------------------------------------------------------------------- #
 def test_flat_overrides_route_into_nested_configs():
-    config = CompileConfig.create(num_classes=6, image_size=8, batch_size=4,
-                                  calibration_samples=8, accumulate="int",
-                                  seed=3, base_width=16)
+    config = CompileConfig().with_overrides(
+        num_classes=6, image_size=8, batch_size=4, calibration_samples=8,
+        accumulate="int", seed=3, base_width=16)
     assert config.num_classes == 6 and config.image_size == 8
     assert config.runtime.batch_size == 4 and config.runtime.accumulate == "int"
     assert config.quant.calibration_samples == 8 and config.quant.seed == 3
@@ -97,7 +97,7 @@ def test_config_validation():
 
 
 def test_config_dict_round_trip_and_key():
-    config = CompileConfig.create(image_size=8, batch_size=4, seed=7)
+    config = CompileConfig().with_overrides(image_size=8, batch_size=4, seed=7)
     again = CompileConfig.from_dict(config.to_dict())
     assert again == config
     # Older artifact manifests stored a since-removed runtime field.

@@ -21,6 +21,7 @@ from multiprocessing import shared_memory
 import numpy as np
 import pytest
 
+from repro.deploy import CompileConfig
 from repro.faults import (
     BreakerPolicy,
     CircuitBreaker,
@@ -47,7 +48,8 @@ from repro.telemetry import TelemetryConfig
 FLEET = ["lenet_nano", "mobilenet_v1_nano"]
 IMAGE_SIZE = 8
 BATCH = 8
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 
 #: deterministic per-batch compute cost (seconds) for the virtual clock
 FIXED_COST = lambda model, fill: 2e-3
@@ -73,7 +75,7 @@ def _server(execution: str = "virtual", **kwargs) -> FleetServer:
                                                    slo_shed=False))
     kwargs.setdefault("policy", BatchingPolicy.dynamic(BATCH, 5e-3))
     return FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
-                       compile_kwargs=COMPILE_KWARGS, execution=execution,
+                       compile_config=COMPILE_CONFIG, execution=execution,
                        **kwargs)
 
 
@@ -295,6 +297,89 @@ def test_slow_task_fault_degrades_latency_not_codes():
 
 
 # ---------------------------------------------------------------------- #
+# Lifecycle invariants on generated fault schedules (both drivers report
+# through one session, so one set of assertions covers both clocks)
+# ---------------------------------------------------------------------- #
+_BATCH_FAULTS = ("worker_crash", "task_hang", "task_error")
+
+
+def _seeded_plan(seed: int, workers: int) -> FaultPlan:
+    return FaultPlan.seeded(seed, workers=workers, horizon_tasks=24,
+                            crash_rate=0.05, hang_rate=0.05, error_rate=0.15,
+                            slow_rate=0.1, hang_s=0.02, slow_s=0.002)
+
+
+def _assert_lifecycle_invariants(report, requests, baseline,
+                                 retry: RetryPolicy) -> None:
+    # Every request reaches exactly one terminal status.
+    assert [o.request_id for o in report.outcomes] == \
+        sorted(r.request_id for r in requests)
+    fleet = report.metrics["fleet"]
+    assert fleet["completed"] + fleet["shed"] + fleet["failed"] \
+        == fleet["arrivals"] == len(requests)
+    # Faults never change the numerics of what completes.
+    assert _assert_codes_match(report, baseline) == fleet["completed"]
+    for outcome in report.outcomes:
+        assert outcome.status in ("completed", "shed", "failed")
+        assert 0 <= outcome.retries <= retry.max_attempts - 1
+        assert (outcome.failure_reason in _BATCH_FAULTS) == outcome.failed
+    # Spans never run backwards, and (at sample_rate=1) every request's
+    # lane closes with exactly one ``request`` span; a request that was
+    # launched — completed or failed — also shows the time it queued.
+    assert all(span.end_s >= span.start_s for span in report.trace.spans)
+    for outcome in report.outcomes:
+        lane = report.trace.by_trace_id(outcome.request_id)
+        assert [s.cat for s in lane].count("request") == 1
+        if outcome.status != "shed":
+            assert [s.cat for s in lane].count("queue") == 1
+        assert [s.cat for s in lane].count("execute") == int(outcome.completed)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lifecycle_invariants_hold_over_seeded_fault_schedules(workers):
+    requests = _requests(n=48)
+    server = _server("virtual", compute_time_fn=FIXED_COST, workers=workers)
+    baseline = server.serve(requests)
+    assert baseline.completed == len(requests)
+    retry = RetryPolicy(max_attempts=3, task_timeout_s=0.01, backoff_s=1e-3,
+                        respawn_backoff_s=1e-3)
+    statuses: set[str] = set()
+    for seed in range(64):
+        report = server.serve(
+            requests, faults=_seeded_plan(seed, workers), retry=retry,
+            # odd seeds also gate arrivals behind a circuit breaker
+            breaker=(BreakerPolicy(window=8, min_samples=4, cooldown_s=0.02)
+                     if seed % 2 else None),
+            telemetry=TelemetryConfig(sample_rate=1.0))
+        _assert_lifecycle_invariants(report, requests, baseline, retry)
+        statuses |= {o.status for o in report.outcomes}
+    server.close()
+    # The sweep must actually reach every terminal state.
+    assert statuses == {"completed", "shed", "failed"}
+
+
+def test_lifecycle_invariants_hold_on_the_wall_clock_thread_backend():
+    requests = _requests(n=48)
+    virtual = _server("virtual", compute_time_fn=FIXED_COST)
+    baseline = virtual.serve(requests)
+    virtual.close()
+    retry = RetryPolicy(max_attempts=2, task_timeout_s=0.01,
+                        respawn_backoff_s=1e-3)
+    # Every lenet task errors on top of the seeded schedule, so both the
+    # requeue and the retries-exhausted branches are certain to run.
+    plan = FaultPlan(events=(*_seeded_plan(5, 2).events,
+                             FaultEvent("task_error", model="lenet_nano",
+                                        count=4096)), seed=5)
+    server = _server("real", backend="thread", workers=2)
+    report = server.serve(requests, faults=plan, retry=retry,
+                          telemetry=TelemetryConfig(sample_rate=1.0))
+    server.close()
+    _assert_lifecycle_invariants(report, requests, baseline, retry)
+    assert report.metrics["fleet"]["failed"] > 0
+    assert report.metrics["fleet"]["retries"] > 0
+
+
+# ---------------------------------------------------------------------- #
 # Satellite: unsupervised typed errors (no retry -> no silent hang)
 # ---------------------------------------------------------------------- #
 def test_process_crash_without_retry_raises_typed_error():
@@ -444,10 +529,9 @@ def test_mid_serve_failure_aborts_open_loop_ingestion():
 # Satellite: disk-tier quarantine of corrupt artifacts
 # ---------------------------------------------------------------------- #
 def test_plan_cache_quarantines_corrupt_artifacts(tmp_path):
-    from repro.deploy import CompileConfig, compile as deploy_compile
+    from repro.deploy import compile as deploy_compile
 
-    config = CompileConfig.create(batch_size=2, image_size=IMAGE_SIZE,
-                                  **COMPILE_KWARGS)
+    config = COMPILE_CONFIG.with_overrides(batch_size=2, image_size=IMAGE_SIZE)
     cache = PlanCache(2, compile_fn=lambda name: deploy_compile(name, config),
                       artifact_dir=tmp_path, key_fn=lambda name: "k")
     entry = cache.get("lenet_nano")

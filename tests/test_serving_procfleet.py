@@ -37,7 +37,8 @@ from repro.serving import (
 FLEET = ["lenet_nano", "mobilenet_v1_nano"]
 IMAGE_SIZE = 8
 BATCH = 8
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 
 #: deterministic per-batch compute cost (seconds) for the virtual clock
 FIXED_COST = lambda model, fill: 2e-3
@@ -56,7 +57,7 @@ def _server(execution: str = "virtual", **kwargs) -> FleetServer:
                                                    slo_shed=False))
     kwargs.setdefault("policy", BatchingPolicy.dynamic(BATCH, 5e-3))
     return FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
-                       compile_kwargs=COMPILE_KWARGS, execution=execution,
+                       compile_config=COMPILE_CONFIG, execution=execution,
                        **kwargs)
 
 
@@ -100,10 +101,10 @@ def test_process_backend_codes_bit_identical_to_virtual():
 def test_process_backend_requires_real_execution():
     with pytest.raises(ValueError, match="requires execution='real'"):
         FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
-                    compile_kwargs=COMPILE_KWARGS, backend="process", warm=False)
+                    compile_config=COMPILE_CONFIG, backend="process", warm=False)
     with pytest.raises(ValueError, match="backend"):
         FleetServer(FLEET, batch_size=BATCH, image_size=IMAGE_SIZE,
-                    compile_kwargs=COMPILE_KWARGS, backend="rocket", warm=False)
+                    compile_config=COMPILE_CONFIG, backend="rocket", warm=False)
 
 
 def test_process_fleet_backend_validates_before_spawning():
@@ -317,7 +318,7 @@ def test_priority_shedding_end_to_end_on_the_virtual_clock():
         for i in range(30)
     ]
     server = FleetServer(["lenet_nano"], batch_size=BATCH, image_size=IMAGE_SIZE,
-                         compile_kwargs=COMPILE_KWARGS,
+                         compile_config=COMPILE_CONFIG,
                          policy=BatchingPolicy.dynamic(1, 1e-3),
                          admission=AdmissionPolicy(max_queue_depth=4),
                          compute_time_fn=lambda model, fill: 0.02)
@@ -335,7 +336,7 @@ def test_priority_shedding_end_to_end_on_the_virtual_clock():
     assert rate[1] > rate[0]
     # Disabling priority_shed removes preemptions entirely.
     flat = FleetServer(["lenet_nano"], batch_size=BATCH, image_size=IMAGE_SIZE,
-                       compile_kwargs=COMPILE_KWARGS,
+                       compile_config=COMPILE_CONFIG,
                        policy=BatchingPolicy.dynamic(1, 1e-3),
                        admission=AdmissionPolicy(max_queue_depth=4,
                                                  priority_shed=False),
@@ -366,8 +367,8 @@ def test_scenario_priority_mix_draws_classes():
 # Deployment-level carry-overs: tape profiling, multi-deployment preload
 # ---------------------------------------------------------------------- #
 def _deploy(name: str, batch_size: int = 2):
-    return deploy_compile(name, CompileConfig.create(
-        image_size=IMAGE_SIZE, batch_size=batch_size, **COMPILE_KWARGS))
+    return deploy_compile(name, COMPILE_CONFIG.with_overrides(
+        image_size=IMAGE_SIZE, batch_size=batch_size))
 
 
 def test_deployment_profile_reports_the_tape_it_runs():
@@ -390,9 +391,8 @@ def test_deployment_profile_reports_the_tape_it_runs():
 
 
 def test_deployment_profile_tape_requires_tape_mode():
-    deployment = deploy_compile("lenet_nano", CompileConfig.create(
-        image_size=IMAGE_SIZE, batch_size=2, mode="steps", optimize=False,
-        **COMPILE_KWARGS))
+    deployment = deploy_compile("lenet_nano", COMPILE_CONFIG.with_overrides(
+        image_size=IMAGE_SIZE, batch_size=2, mode="steps", optimize=False))
     assert ([t.name for t in deployment.profile(repeats=1).steps]
             == [step.name for step in deployment.plan.steps])
     with pytest.raises(ValueError, match="tape-mode"):

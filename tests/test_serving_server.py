@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.deploy import CompileConfig
 from repro.serving import (
     SCENARIOS,
     AdmissionPolicy,
@@ -24,7 +25,8 @@ from repro.serving import (
 FLEET = ["lenet_nano", "mobilenet_v1_nano"]
 IMAGE_SIZE = 8
 BATCH = 8
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 
 #: deterministic per-batch compute cost (seconds) for the virtual clock
 FIXED_COST = lambda model, fill: 2e-3
@@ -34,7 +36,7 @@ def _server(policy: BatchingPolicy, fleet=FLEET, **kwargs) -> FleetServer:
     kwargs.setdefault("admission", AdmissionPolicy(max_queue_depth=64))
     kwargs.setdefault("compute_time_fn", FIXED_COST)
     return FleetServer(fleet, batch_size=BATCH, image_size=IMAGE_SIZE, policy=policy,
-                       compile_kwargs=COMPILE_KWARGS, **kwargs)
+                       compile_config=COMPILE_CONFIG, **kwargs)
 
 
 def _sparse_requests(seed: int = 0):

@@ -40,7 +40,8 @@ from repro.telemetry import (
 
 IMAGE_SIZE = 8
 BATCH = 4
-COMPILE_KWARGS = dict(calibration_samples=8, calibration_batch_size=4)
+COMPILE_CONFIG = CompileConfig().with_overrides(calibration_samples=8,
+                                                calibration_batch_size=4)
 
 
 def _requests(model: str = "lenet_nano", rate_rps: float = 80.0,
@@ -57,7 +58,7 @@ def _server(**kwargs) -> FleetServer:
                                                    slo_shed=False))
     kwargs.setdefault("policy", BatchingPolicy.dynamic(BATCH, 2e-3))
     return FleetServer(["lenet_nano"], batch_size=BATCH, image_size=IMAGE_SIZE,
-                       compile_kwargs=COMPILE_KWARGS, **kwargs)
+                       compile_config=COMPILE_CONFIG, **kwargs)
 
 
 # ---------------------------------------------------------------------- #
@@ -198,8 +199,8 @@ def test_prometheus_text_format():
 # ---------------------------------------------------------------------- #
 def test_tape_sink_emits_per_instruction_spans():
     deployment = deploy_compile(
-        "lenet_nano", CompileConfig.create(image_size=IMAGE_SIZE, batch_size=2,
-                                           **COMPILE_KWARGS))
+        "lenet_nano", COMPILE_CONFIG.with_overrides(image_size=IMAGE_SIZE,
+                                                    batch_size=2))
     engine = deployment.engine
     tape = engine._ensure_tape()
     seen: list[tuple] = []
