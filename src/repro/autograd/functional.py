@@ -34,22 +34,23 @@ __all__ = [
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    mask = (x.data > 0).astype(x.data.dtype)
+    mask = x.data > 0
     return Tensor._make(x.data * mask, [(x, lambda g: g * mask)])
 
 
 def relu6(x: Tensor) -> Tensor:
     x = as_tensor(x)
     out = np.clip(x.data, 0.0, 6.0)
-    mask = ((x.data > 0) & (x.data < 6.0)).astype(x.data.dtype)
+    mask = x.data > 0
+    mask &= x.data < 6.0
     return Tensor._make(out, [(x, lambda g: g * mask)])
 
 
 def leaky_relu(x: Tensor, negative_slope: float = 0.1) -> Tensor:
     x = as_tensor(x)
-    mask = (x.data > 0).astype(x.data.dtype)
-    scale = mask + negative_slope * (1.0 - mask)
-    return Tensor._make(x.data * scale, [(x, lambda g: g * scale)])
+    mask = x.data > 0
+    return Tensor._make(np.where(mask, x.data, x.data * negative_slope),
+                        [(x, lambda g: np.where(mask, g, g * negative_slope))])
 
 
 def sigmoid(x: Tensor) -> Tensor:

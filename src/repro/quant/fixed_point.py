@@ -143,7 +143,7 @@ def integer_conv2d(x_codes: np.ndarray, w_codes: np.ndarray, bias_codes: np.ndar
     oh = conv_output_size(h, kh, stride[0], padding[0])
     ow = conv_output_size(w, kw, stride[1], padding[1])
 
-    cols = im2col(x_codes.astype(np.float64), (kh, kw), stride, padding).astype(np.int64)
+    cols = im2col(x_codes, (kh, kw), stride, padding)  # dtype-agnostic: stays int64
     cols_grouped = cols.reshape(n, groups, c_in_per_group, kh, kw, oh, ow)
     cols_mat = cols_grouped.transpose(1, 0, 5, 6, 2, 3, 4).reshape(
         groups, n * oh * ow, c_in_per_group * kh * kw

@@ -2,16 +2,22 @@
 
 Two implementations are provided, mirroring Section 4.4 of the paper:
 
-* :func:`tqt_quantize` — the **fused** kernel.  A single autograd node whose
-  backward closure computes the threshold and input gradients analytically;
-  no intermediate tensors are kept alive, which is what the paper's fused
-  CPU/GPU kernels do to save training memory.
+* :func:`tqt_quantize` — the **fused** kernel: one autograd node, five passes
+  over the input (divide, round, clip, compare, multiply).  Its two backward
+  closures keep alive only the clipped integer codes ``q`` and one boolean
+  ``inside`` mask (9 bytes per element); ``x / s`` is one division of the
+  input array, which the tape holds anyway, and is redone when the threshold
+  gradient is asked for.  The closures own what they keep — no workspace
+  shared across calls or layers — and never write into it, so a node can be
+  backpropagated more than once.
 * :func:`tqt_quantize_unfused` — the **unfused** reference, composed of
   primitive autograd ops with straight-through ``ceil``/``round``
-  (Figure 4's ``tf.stop_gradient`` construction).  It produces bit-identical
-  forward values and identical gradients, and exists both as a correctness
-  oracle for the fused kernel and as the memory/runtime baseline for the
-  Figure 4 benchmark.
+  (Figure 4's ``tf.stop_gradient`` construction).  Its tape holds ten nodes
+  and a full-size float64 array for most of them: the scale, the scaled
+  input, the rounded and clipped values and the clip mask.  It agrees with
+  the fused kernel to ``rtol 1e-12`` (exactly, for the forward values of a
+  power-of-2 scale away from rounding ties) and exists both as a correctness
+  oracle and as the memory/runtime baseline of the Figure 4 benchmark.
 
 The module-level class :class:`TQTQuantizer` owns the learnable
 ``log2_t`` parameter, handles signed/unsigned ranges, power-of-2 vs. real
@@ -79,14 +85,14 @@ def tqt_quantize(x: Tensor, log2_t: Tensor, config: QuantConfig,
         t_values = t_values.reshape(broadcast_shape)
 
     s = compute_scale(t_values, config)
-    scaled = x.data / s
-    rounded = np.rint(scaled)
-    clipped = np.clip(rounded, n, p)
-    out = clipped * s
-
-    below = rounded < n
-    above = rounded > p
-    inside = ~(below | above)
+    values = x.data
+    out = np.asarray(values / s)
+    np.rint(out, out=out)
+    q = np.clip(out, n, p)
+    # Compared with the codes before clipping, so a tie that rounds to p + 1
+    # counts as outside.
+    inside = q == out
+    np.multiply(q, s, out=out)
 
     def grad_x(g: np.ndarray) -> np.ndarray:
         # Eq. 8: pass-through inside the clipping range, zero outside.
@@ -94,13 +100,16 @@ def tqt_quantize(x: Tensor, log2_t: Tensor, config: QuantConfig,
 
     def grad_log2_t(g: np.ndarray) -> np.ndarray:
         # Eq. 7: s·ln2 · (⌊x/s⌉ - x/s | n | p), reduced over the elements that
-        # share the threshold.
-        per_element = np.where(inside, rounded - scaled, np.where(below, float(n), float(p)))
-        grad = g * s * _LN2 * per_element
-        if channel_axis is None:
-            return np.asarray(grad.sum()).reshape(log2_t.data.shape)
-        axes = tuple(i for i in range(grad.ndim) if i != channel_axis)
-        return grad.sum(axis=axes).reshape(log2_t.data.shape)
+        # share the threshold.  Outside the range the clipped ``q`` already is
+        # n or p, so the per-element term is q - (x/s)·inside; x/s is one
+        # division of an array the tape holds anyway, cheaper than keeping it.
+        term = np.asarray(values / s)
+        term *= inside
+        np.subtract(q, term, out=term)
+        axes = list(range(term.ndim))
+        kept = [] if channel_axis is None else [axes[channel_axis]]
+        total = np.einsum(g, axes, term, axes, kept)
+        return (total * s.reshape(total.shape) * _LN2).reshape(log2_t.data.shape)
 
     return Tensor._make(out, [(x, grad_x), (log2_t, grad_log2_t)])
 

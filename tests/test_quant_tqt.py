@@ -152,6 +152,138 @@ class TestGradients:
         assert t.grad.shape == (4,)
 
 
+def fused_and_unfused(x_values, log2_t, config, upstream):
+    """(out, grad_x, grad_log2_t) of the fused node and of the unfused tape."""
+    results = []
+    for quantize in (tqt_quantize, tqt_quantize_unfused):
+        x = Tensor(x_values, requires_grad=True)
+        t = Tensor(np.asarray(log2_t), requires_grad=True)
+        out = quantize(x, t, config)
+        out.backward(upstream)
+        results.append((out.data, x.grad, t.grad))
+    return results
+
+
+class TestFusedKernel:
+    """The one-pass kernel keeps ``x/s``, the clipped codes and one bool mask;
+    the unfused tape and the per-element equations are its oracles."""
+
+    @pytest.mark.parametrize("power_of_2", [True, False])
+    @pytest.mark.parametrize("signed", [True, False])
+    @pytest.mark.parametrize("bits", [4, 8])
+    def test_fused_equals_unfused(self, rng, bits, signed, power_of_2):
+        config = QuantConfig(bits=bits, signed=signed, power_of_2=power_of_2)
+        x_values = rng.standard_normal((4, 3, 5, 5)) * 1.5   # threshold 2^0.3: both tails clip
+        upstream = rng.standard_normal(x_values.shape)
+        fused, unfused = fused_and_unfused(x_values, 0.3, config, upstream)
+        assert (np.abs(fused[0]) == np.abs(fused[0]).max()).sum() > 1   # saturation exercised
+        for got, expected in zip(fused, unfused):
+            np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-14)
+
+    def test_ties_at_the_range_edges(self):
+        """Round-half-to-even decides inside vs outside *before* clipping:
+        127.5 -> 128 is outside (gradient p), -128.5 -> -128 is inside.  (The
+        unfused tape builds ``s`` through ``exp`` and is an ulp off 1.0 here,
+        so exact ties have only the equations as their oracle.)"""
+        config = QuantConfig(bits=8)                 # n = -128, p = 127, s = 1 at log2_t = 7
+        x_values = np.array([127.5, -128.5, 126.5, 128.5, -129.5, 0.5, 1.5])
+        rounded = np.array([128.0, -128.0, 126.0, 128.0, -130.0, 0.0, 2.0])
+        inside = np.array([0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+        per_element = np.array([127.0, 0.5, -0.5, 127.0, -128.0, -0.5, 0.5]) * LN2
+        x = Tensor(x_values, requires_grad=True)
+        t = Tensor(np.asarray(7.0), requires_grad=True)
+        out = tqt_quantize(x, t, config)
+        np.testing.assert_array_equal(out.data, np.clip(rounded, -128, 127))
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, inside)
+        np.testing.assert_allclose(float(t.grad), per_element.sum(), rtol=1e-15)
+        for i, expected in enumerate(per_element):
+            t.zero_grad()
+            tqt_quantize(x, t, config).backward(np.eye(len(x_values))[i])
+            assert float(t.grad) == expected
+
+    def test_zero_dimensional_input_and_threshold(self):
+        config = QuantConfig(bits=4)
+        for value in (0.3, 40.0, -40.0):
+            scalar = fused_and_unfused(np.asarray(value), 1.2, config, np.asarray(1.5))
+            vector = fused_and_unfused(np.asarray([value]), 1.2, config, np.asarray([1.5]))
+            for path in (0, 1):
+                for got, expected in zip(scalar[path], vector[0]):
+                    assert np.shape(got) == ()
+                    np.testing.assert_allclose(got, expected[0] if expected.ndim else expected,
+                                               rtol=1e-12)
+
+    @pytest.mark.parametrize("shape,axis", [((4, 3, 3, 3), 0), ((2, 3, 4, 4), 1)])
+    @pytest.mark.parametrize("power_of_2", [True, False])
+    def test_per_channel_equals_one_quantizer_per_channel(self, rng, shape, axis, power_of_2):
+        config = QuantConfig(bits=4, power_of_2=power_of_2)
+        x_values = rng.standard_normal(shape) * 2
+        upstream = rng.standard_normal(shape)
+        thresholds = rng.uniform(-1.0, 1.5, shape[axis])
+        x = Tensor(x_values, requires_grad=True)
+        t = Tensor(thresholds, requires_grad=True)
+        out = tqt_quantize(x, t, config, channel_axis=axis)
+        out.backward(upstream)
+        assert t.grad.shape == thresholds.shape
+        for channel, log2_t in enumerate(thresholds):
+            pick = (slice(None),) * axis + (channel,)
+            xc = Tensor(x_values[pick], requires_grad=True)
+            tc = Tensor(np.asarray(log2_t), requires_grad=True)
+            oc = tqt_quantize(xc, tc, config)
+            oc.backward(upstream[pick])
+            np.testing.assert_array_equal(out.data[pick], oc.data)
+            np.testing.assert_array_equal(x.grad[pick], xc.grad)
+            np.testing.assert_allclose(t.grad[channel], tc.grad, rtol=1e-12)
+
+    def test_non_contiguous_upstream_gradient(self, rng):
+        """A depthwise ``grad_x`` hands the quantizer a cropped view."""
+        config = QuantConfig(bits=8, signed=False)
+        x_values = np.abs(rng.standard_normal((2, 3, 6, 6))) * 3
+        padded = rng.standard_normal((2, 3, 8, 8))
+        view = padded[:, :, 1:7, 1:7]
+        assert not view.flags.c_contiguous
+        strided, _ = fused_and_unfused(x_values, 1.0, config, view)
+        dense, _ = fused_and_unfused(x_values, 1.0, config, np.ascontiguousarray(view))
+        np.testing.assert_array_equal(strided[1], dense[1])
+        np.testing.assert_allclose(strided[2], dense[2], rtol=1e-12)
+
+    def test_each_gradient_alone_equals_both_together(self, rng):
+        """A frozen threshold asks only for ``grad_x``; a weight quantizer in a
+        graph whose weights are constants asks only for ``grad_log2_t``."""
+        config = QuantConfig(bits=4)
+        x_values = rng.standard_normal((3, 4, 4)) * 2
+        upstream = rng.standard_normal(x_values.shape)
+        (_, both_x, both_t), _ = fused_and_unfused(x_values, 0.4, config, upstream)
+
+        x = Tensor(x_values, requires_grad=True)
+        frozen = Tensor(np.asarray(0.4))
+        tqt_quantize(x, frozen, config).backward(upstream)
+        np.testing.assert_array_equal(x.grad, both_x)
+        assert frozen.grad is None
+
+        constant = Tensor(x_values)
+        t = Tensor(np.asarray(0.4), requires_grad=True)
+        tqt_quantize(constant, t, config).backward(upstream)
+        np.testing.assert_array_equal(t.grad, both_t)
+        assert constant.grad is None
+
+    def test_backward_is_pure(self, rng):
+        """Nothing the closures keep is consumed: a second backward over the
+        same node doubles the accumulated gradients and leaves ``g`` intact."""
+        config = QuantConfig(bits=4)
+        x = Tensor(rng.standard_normal(50) * 2, requires_grad=True)
+        t = Tensor(np.asarray(0.0), requires_grad=True)
+        upstream = rng.standard_normal(50)
+        kept = upstream.copy()
+        out = tqt_quantize(x, t, config)
+        out.backward(upstream)
+        first_x, first_t = x.grad.copy(), t.grad.copy()
+        out.backward(upstream)
+        np.testing.assert_array_equal(upstream, kept)
+        np.testing.assert_array_equal(x.grad, 2 * first_x)
+        np.testing.assert_array_equal(t.grad, 2 * first_t)
+
+
 class TestTQTQuantizerModule:
     def test_threshold_and_scale_properties(self):
         q = TQTQuantizer(QuantConfig(bits=8), init_log2_t=2.0)

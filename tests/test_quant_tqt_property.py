@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor
-from repro.quant import QuantConfig, compute_scale, tqt_quantize
+from repro.quant import QuantConfig, compute_scale, tqt_quantize, tqt_quantize_unfused
 
 values_strategy = hnp.arrays(
     dtype=np.float64,
@@ -125,3 +125,26 @@ def test_max_calibrated_threshold_clipping_error_bounded(values, bits):
     assert np.max(np.abs(out - values)) <= s + 1e-9
     codes = np.rint(values / s)
     assert codes.min() >= config.qmin and codes.max() <= config.levels
+
+
+@settings(max_examples=60, deadline=None)
+@given(values_strategy, log2_t_strategy, bits_strategy, signed_strategy, st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_fused_gradients_equal_unfused(values, log2_t, bits, signed, power_of_2, seed):
+    """The fused node's two closures against the unfused tape's ten nodes."""
+    config = QuantConfig(bits=bits, signed=signed, power_of_2=power_of_2)
+    s = float(compute_scale(log2_t, config))
+    # A value whose x/s sits on a rounding tie can land either side of it on the
+    # unfused tape, which builds s through exp(); keep clear of ties.
+    values = values[np.abs(np.abs(values / s % 1.0) - 0.5) > 1e-6]
+    upstream = np.random.default_rng(seed).standard_normal(values.shape)
+    grads = []
+    for quantize in (tqt_quantize, tqt_quantize_unfused):
+        x = Tensor(values, requires_grad=True)
+        t = Tensor(np.asarray(log2_t), requires_grad=True)
+        quantize(x, t, config).backward(upstream)
+        grads.append((x.grad, t.grad))
+    np.testing.assert_allclose(grads[0][0], grads[1][0], rtol=1e-12)   # tape: (g * s) / s
+    # Eq. 7 sums terms of either sign: bound the error by the sum of magnitudes.
+    magnitude = s * np.log(2.0) * config.qmax * np.abs(upstream).sum()
+    np.testing.assert_allclose(grads[0][1], grads[1][1], rtol=1e-12, atol=1e-12 * magnitude)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.graph import prepare_retrain
+from repro.graph import collect_tqt_quantizers, prepare_retrain
 from repro.graph.transforms import run_default_optimizations
+from repro.models import avgpool_channel_hints, build_model
 from repro.training import (
     CheckpointKeeper,
     EvaluationResult,
@@ -205,3 +206,45 @@ class TestTrainerQuantized:
         trainer.freezer.policy.interval = 1
         trainer.train(2)
         assert trainer.freezer.num_frozen > 0
+
+
+class TestTrainStepOwnsItsMemory:
+    """Backward closures own every array they read.  A buffer shared across
+    calls or keyed by shape would be overwritten by the same-shaped model
+    stepped in between and the two trajectories below would part."""
+
+    @staticmethod
+    def trainer(seed, loaders, calibration):
+        graph = build_model("mobilenet_v1_nano", num_classes=4, seed=seed)
+        graph.eval()
+        run_default_optimizations(graph, channel_hints=avgpool_channel_hints(graph))
+        quantized = prepare_retrain(graph, calibration, mode="wt,th", copy=False).graph
+        return Trainer(quantized, *loaders,
+                       hparams=PaperHyperparameters(batch_size=loaders[0].batch_size))
+
+    @staticmethod
+    def thresholds(trainer):
+        return {name: q.log2_t.data.copy()
+                for name, q in collect_tqt_quantizers(trainer.model, trainable_only=True).items()}
+
+    def test_same_seed_same_trajectory_with_a_twin_stepped_in_between(
+            self, tiny_loaders, calibration_batches):
+        batches = list(tiny_loaders[0])
+        alone = self.trainer(3, tiny_loaders, calibration_batches)
+        interleaved = self.trainer(3, tiny_loaders, calibration_batches)
+        twin = self.trainer(4, tiny_loaders, calibration_batches)
+        start = self.thresholds(alone)
+        losses_alone, losses_interleaved = [], []
+        for step in range(20):
+            images, labels = batches[step % len(batches)]
+            losses_alone.append(alone.train_step(images, labels))
+        for step in range(20):
+            images, labels = batches[step % len(batches)]
+            twin.train_step(*batches[(step + 1) % len(batches)])
+            losses_interleaved.append(interleaved.train_step(images, labels))
+        assert losses_alone == losses_interleaved
+        after, after_interleaved = self.thresholds(alone), self.thresholds(interleaved)
+        assert len(after) > 10
+        for name, value in after.items():
+            np.testing.assert_array_equal(value, after_interleaved[name])
+        assert any(np.any(after[name] != start[name]) for name in after)
