@@ -12,6 +12,11 @@ is written at the repo root so future PRs can track the trajectory.
 
 The speedup gate applies to MobileNet (the paper's headline network):
 ≥1.5x locally, relaxed via ``OPT_BENCH_MIN_SPEEDUP`` on shared CI runners.
+
+A second, machine-independent gate checks that a partial batch costs what
+its power-of-two bucket tape costs: at the end-to-end benchmark's operating
+point (32x32, batch 8) ``run_partial`` at fill 1 must take at most
+``MAX_FILL1_SHARE`` of a full-batch ``run`` on both served models.
 """
 
 from __future__ import annotations
@@ -38,6 +43,12 @@ SWEEPS = 12       # ... many times over: each mode gets many chances to catch
                   # a quiet scheduling window on a shared host, and best-of
                   # converges to true per-mode capability
 MIN_OPT_SPEEDUP = float(os.environ.get("OPT_BENCH_MIN_SPEEDUP", "1.5"))
+
+#: the two models ``benchmarks/e2e`` serves, at its image size
+SERVED_MODELS = ["mobilenet_v1_nano", "resnet_nano"]
+SERVED_IMAGE_SIZE = 32
+FILL_REPEATS = 30
+MAX_FILL1_SHARE = 0.6
 
 CANDIDATE = deploy.CompileConfig(
     image_size=IMAGE_SIZE,
@@ -124,3 +135,38 @@ def test_optimizer_speedup_over_oracle(report_writer):
         f"optimizer pass pipeline is only {headline_speedup:.2f}x on {HEADLINE} "
         f"(required {MIN_OPT_SPEEDUP}x)"
     )
+
+
+def test_partial_fill_costs_its_bucket(report_writer):
+    config = CANDIDATE.with_overrides(image_size=SERVED_IMAGE_SIZE)
+    rng = np.random.default_rng(1)
+    batch = rng.standard_normal((BATCH_SIZE, 3, SERVED_IMAGE_SIZE, SERVED_IMAGE_SIZE))
+    fills = [fill for fill in (1, 2, 3, 4, 5) if fill < BATCH_SIZE]
+    rows, shares = [], {}
+    for name in SERVED_MODELS:
+        deployment = deploy.compile(name, config)
+        runs = {BATCH_SIZE: lambda: deployment.run(batch)}
+        for fill in fills:
+            runs[fill] = lambda images=batch[:fill]: deployment.run_partial(images)
+        best = {fill: float("inf") for fill in runs}
+        for run in runs.values():
+            run()
+        for _ in range(FILL_REPEATS):        # interleaved: b8, f1, f2, ... each pass
+            for fill, run in runs.items():
+                start = time.perf_counter()
+                run()
+                best[fill] = min(best[fill], time.perf_counter() - start)
+        shares[name] = {fill: best[fill] / best[BATCH_SIZE] for fill in fills}
+        rows.append([name, f"{best[BATCH_SIZE] * 1e3:.3f}"]
+                    + [f"{best[f] * 1e3:.3f} ({shares[name][f]:.2f})" for f in fills])
+
+    report_writer("engine_optimizer_buckets", format_table(
+        ["model", f"run b{BATCH_SIZE} ms"] + [f"fill {f} ms (share)" for f in fills],
+        rows,
+        title=f"run_partial on power-of-two bucket tapes vs a full run — batch "
+              f"{BATCH_SIZE}, {SERVED_IMAGE_SIZE}x{SERVED_IMAGE_SIZE} inputs, minimum "
+              f"of {FILL_REPEATS} interleaved repeats"))
+    for name, by_fill in shares.items():
+        assert by_fill[1] <= MAX_FILL1_SHARE, (
+            f"{name}: run_partial at fill 1 costs {by_fill[1]:.2f}x a full-batch run "
+            f"(required <= {MAX_FILL1_SHARE})")

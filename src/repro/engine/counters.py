@@ -7,8 +7,8 @@ stages are observable, so each one ticks a process-global counter here:
 
 * ``lowerings`` — :func:`repro.engine.plan.lower_graph` calls;
 * ``optimizations`` — :func:`repro.engine.optimizer.optimize_plan` calls;
-* ``tape_compilations`` — :func:`repro.engine.program.compile_tape` calls
-  (binding an engine in tape mode compiles one instruction program);
+* ``tape_compilations`` — tape-mode ``plan.bind`` calls, each compiling
+  the engine's instruction program (and its bucket tapes, which share it);
 * ``tape_autotune_runs`` — :meth:`repro.engine.program.TapeProgram.autotune`
   runs, the one autotuner.  A plan whose kernel choices were cached (or
   loaded from an artifact) compiles its tape without ticking this;

@@ -286,12 +286,14 @@ class StackedShiftGeometry:
 
     The stack buffer's zero border (output positions whose windows overhang
     the input) is written once at allocation and relied upon across calls,
-    so the buffer must never be recycled storage — allocate it fresh.
+    so the buffer must never be recycled storage — allocate it fresh.  An
+    engine passes its arena as ``alloc(shape, dtype, zero_key=...)``; the
+    key names the geometry that fixes where the border sits.
     """
 
     def __init__(self, batch: int, in_channels: int, height: int, width: int,
                  kernel: tuple[int, int], stride: tuple[int, int],
-                 padding: tuple[int, int], dtype=np.float64) -> None:
+                 padding: tuple[int, int], dtype=np.float64, alloc=None) -> None:
         self.batch = batch
         self.in_channels = in_channels
         self.height = height
@@ -303,8 +305,9 @@ class StackedShiftGeometry:
         kh, kw = kernel
         self.out_height = conv_output_size(height, kh, stride[0], padding[0])
         self.out_width = conv_output_size(width, kw, stride[1], padding[1])
-        self.stack = np.zeros((batch, kh * kw * in_channels,
-                               self.out_height, self.out_width), dtype=self.dtype)
+        shape = (batch, kh * kw * in_channels, self.out_height, self.out_width)
+        self.stack = (np.zeros(shape, self.dtype) if alloc is None else alloc(
+            shape, self.dtype, zero_key=("stack", height, width, kernel, stride, padding)))
         # Per-offset copy plan: destination channel block plus the matching
         # (input-range, output-range) slices with padding overhang clipped,
         # so no separate padded staging copy is needed.

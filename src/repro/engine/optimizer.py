@@ -49,6 +49,7 @@ from .plan import (
     ExecutionPlan,
     PlanError,
     _BoundStep,
+    _BufferPool,
     _ComputeStep,
     _ConvStep,
     _LinearStep,
@@ -658,7 +659,16 @@ class OptimizedPlan(ExecutionPlan):
                 f"an optimized plan executes only as a tape in the BLAS lanes, got "
                 f"accumulate={accumulate!r}, mode={mode!r}; int64 accumulation and the "
                 f"step interpreter are the oracle — lower with optimize=False")
-        return super().bind(input_shape, fuse=fuse)
+        engine = super().bind(input_shape, fuse=fuse)
+        # Bucket engines at every power of two below the batch: the same
+        # steps, prepacked weights and cached kernel choices, bound over
+        # views of the engine's arena (``run_partial`` picks by fill).
+        rest, size = engine.input_shape[1:], 1
+        while size < engine.batch_size:
+            engine._buckets.append(self._bind((size, *rest), "blas", "tape", fuse,
+                                              _BufferPool(donor=engine._pool)))
+            size *= 2
+        return engine
 
     def manifest(self) -> dict:
         data = super().manifest()

@@ -24,6 +24,7 @@ model in the registry.
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,31 +166,57 @@ def _apply_activation(acc: np.ndarray, activation: str, bound: float | None) -> 
 # Bind-time infrastructure
 # ---------------------------------------------------------------------- #
 class _BufferPool:
-    """Exact-shape free-list allocator used by the linear-scan binder."""
+    """The one arena of an engine: an exact-shape free-list allocator.
 
-    def __init__(self) -> None:
+    Every buffer a bind or a tape emitter creates comes from here.  A
+    *bucket* pool (``donor`` = the pool of the batch-B engine the bucket
+    was bound beside) hands out the leading-batch view ``big[:b]`` of a
+    live donor buffer of the same trailing shape, dtype and ``zero_key``,
+    each donor buffer backing at most one bucket buffer; it allocates only
+    when no such buffer is left.  One engine's tapes never run
+    concurrently, so only the bucket's own liveness matters, and that
+    mirrors B's.
+    """
+
+    def __init__(self, donor: "_BufferPool | None" = None) -> None:
         self._free: dict[tuple, list[np.ndarray]] = {}
+        self._donor = donor
+        #: (kind, weakref) per created buffer, in creation order; donors
+        #: lend only buffers their engine still holds
+        self._created: list[tuple] = []
+        self._borrowed: set[int] = set()
         self.buffers_created = 0
         self.bytes_created = 0
 
     def acquire(self, shape: tuple[int, ...], dtype=np.float64,
-                fresh: bool = False) -> np.ndarray:
+                fresh: bool = False, zero_key=None) -> np.ndarray:
         """Hand out a buffer; ``fresh=True`` bypasses the free list.
 
         A recycled buffer may double as an earlier step's output storage
         (written every forward pass), which is fine for storage that is
         fully overwritten before each use but fatal for buffers that rely
-        on contents persisting across passes (zero-padded borders).
+        on contents persisting across passes (zero-padded borders).  Those
+        pass a ``zero_key`` naming everything that fixes where the zeros
+        sit: they are zero-filled, never recycled, and shared with a donor
+        only under the same key.
         """
         shape = tuple(int(s) for s in shape)
         dtype = np.dtype(dtype)
-        if not fresh:
+        if not fresh and zero_key is None:
             free = self._free.get((shape, dtype))
             if free:
                 return free.pop()
+        kind = (shape[1:], dtype, zero_key)
+        if self._donor is not None:
+            for index, (donor_kind, ref) in enumerate(self._donor._created):
+                big = ref() if donor_kind == kind and index not in self._borrowed else None
+                if big is not None and len(big) >= shape[0]:
+                    self._borrowed.add(index)
+                    return big[:shape[0]]
         self.buffers_created += 1
-        buffer = np.empty(shape, dtype=dtype)
+        buffer = np.zeros(shape, dtype) if zero_key is not None else np.empty(shape, dtype)
         self.bytes_created += buffer.nbytes
+        self._created.append((kind, weakref.ref(buffer)))
         return buffer
 
     def release(self, buffer: np.ndarray) -> None:
@@ -228,9 +255,7 @@ class _BindContext:
         full_key = (key, shape, np.dtype(dtype))
         buffer = self._scratch.get(full_key)
         if buffer is None:
-            buffer = self.pool.acquire(shape, dtype, fresh=zero)
-            if zero:
-                buffer[...] = 0
+            buffer = self.pool.acquire(shape, dtype, zero_key=key if zero else None)
             self._scratch[full_key] = buffer
         return buffer
 
@@ -509,7 +534,7 @@ class _AddStep(_Step):
         shifts = [(v.meta.fraction - shared.fraction, v.meta.divisor) for v in (a, b)]
         relu6_bound = (_relu6_bound(shared.fraction, 1, self.name)
                        if activation == "relu6" else None)
-        scratch = np.empty(a.shape)
+        scratch = ctx.scratch(("add_scratch",), a.shape)
         out = ctx.pool.acquire(a.shape)
         if output_stage is not None:
             output_shift = shared.fraction - output_stage.fraction
@@ -590,8 +615,8 @@ class _LeakyReLUStep(_Step):
         alpha_code, alpha_fraction = float(self.alpha_code), self.alpha_fraction
         input_shift = x.meta.fraction - internal.fraction
         input_divisor = x.meta.divisor
-        x16 = np.empty(x.shape)
-        scaled = np.empty(x.shape)
+        x16 = ctx.scratch(("leaky_x16",), x.shape)
+        scaled = ctx.scratch(("leaky_scaled",), x.shape)
         out = ctx.pool.acquire(x.shape)
         if output_stage is not None:
             output_shift = internal.fraction - output_stage.fraction
@@ -638,10 +663,11 @@ class _MaxPoolStep(_Step):
 
         oh = conv_output_size(h, self.kernel[0], self.stride[0], self.padding[0])
         ow = conv_output_size(w, self.kernel[1], self.stride[1], self.padding[1])
-        padded = None
-        if self.padding[0] or self.padding[1]:
-            padded = np.zeros((n, c, h + 2 * self.padding[0], w + 2 * self.padding[1]))
         kernel, stride, padding = self.kernel, self.stride, self.padding
+        (ph, pw), padded = padding, None
+        if ph or pw:
+            padded = ctx.scratch(("pool_padded", ph, pw, h, w),
+                                 (n, c, h + 2 * ph, w + 2 * pw), zero=True)
         out_shape = (n, c, oh, ow)
         out = ctx.pool.acquire(out_shape)
 
@@ -954,8 +980,14 @@ class ExecutionPlan:
         if mode not in ("tape", "steps"):
             raise ValueError(f"unknown execution mode {mode!r}; "
                              f"expected 'tape' or 'steps'")
-        input_shape = tuple(int(s) for s in input_shape)
-        pool = _BufferPool()
+        engine = self._bind(tuple(int(s) for s in input_shape), accumulate, mode, fuse,
+                            _BufferPool())
+        if mode == "tape":
+            PIPELINE_COUNTERS.tape_compilations += 1
+        return engine
+
+    def _bind(self, input_shape: tuple[int, ...], accumulate: str, mode: str,
+              fuse: bool, pool: _BufferPool) -> "CompiledEngine":
         ctx = _BindContext(pool, accumulate)
 
         slots = {self.input_name: 0}
@@ -1074,10 +1106,13 @@ class CompiledEngine:
         self.fuse = fuse
         self.buffers_created = pool.buffers_created
         self.buffer_bytes = pool.bytes_created
+        self._pool = pool
+        #: sibling engines at every power of two below the batch, ascending
+        #: (bound by an optimized plan's ``bind``; see :meth:`run_partial`)
+        self._buckets: list[CompiledEngine] = []
         #: dtype of the float staging/input buffers (the integer codes ride
         #: in exact float64 lanes); callers staging requests should match it.
         self.input_dtype = np.dtype(np.float64)
-        self._partial_staging: np.ndarray | None = None
         self._env: list = [None] * slot_count
         #: the compiled instruction program (lazily built on the first run
         #: in tape mode; see :mod:`repro.engine.program`)
@@ -1091,9 +1126,17 @@ class CompiledEngine:
     def batch_size(self) -> int:
         return self.input_shape[0]
 
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
+    def _check_input(self, x: np.ndarray, partial: bool = False) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.input_shape:
+        if partial:
+            if x.ndim != 4 or x.shape[1:] != self.input_shape[1:]:
+                expected = ", ".join(str(s) for s in self.input_shape[1:])
+                raise ValueError(f"expected images shaped (fill, {expected}), "
+                                 f"got {x.shape}")
+            if not 1 <= x.shape[0] <= self.batch_size:
+                raise ValueError(f"fill must be in [1, {self.batch_size}], "
+                                 f"got {x.shape[0]}")
+        elif x.shape != self.input_shape:
             raise ValueError(f"engine is bound to input shape {self.input_shape}, "
                              f"got {x.shape}")
         if not np.isfinite(x).all():
@@ -1119,13 +1162,20 @@ class CompiledEngine:
         """
         x = self._check_input(x)
         if self.mode == "tape":
-            tape = self._ensure_tape()
-            np.copyto(tape.input_buffer, x)
-            tape.execute()
-            codes = tape.output_array.astype(self._codes_dtype)
-            return EngineOutput(codes=codes, fraction=self.output_meta.fraction,
-                                divisor=self.output_meta.divisor)
+            return self._run_tape(x)
         return self.run_steps(x, _checked=True)
+
+    def _run_tape(self, images: np.ndarray) -> EngineOutput:
+        """Stage ``fill <= batch_size`` checked images into the tape's input
+        buffer, zero the padding rows, execute, and copy out ``fill`` rows."""
+        tape = self._ensure_tape()
+        fill = images.shape[0]
+        tape.input_buffer[:fill] = images
+        tape.input_buffer[fill:] = 0.0
+        tape.execute()
+        codes = tape.output_array[:fill].astype(self._codes_dtype)
+        return EngineOutput(codes=codes, fraction=self.output_meta.fraction,
+                            divisor=self.output_meta.divisor)
 
     def run_steps(self, x: np.ndarray, _checked: bool = False) -> EngineOutput:
         """Execute through the per-step interpreter (the reference path)."""
@@ -1190,27 +1240,22 @@ class CompiledEngine:
     def run_partial(self, images: np.ndarray) -> EngineOutput:
         """Execute a partially filled batch of ``1 <= fill <= batch_size`` images.
 
-        The engine is bound to a fixed batch shape, so the images are staged
-        into a lazily allocated zero-padded buffer; every plan op is
-        per-sample independent, so the padding rows never influence the real
-        rows.  The returned codes are sliced to the true fill — callers (the
-        dynamic batcher, serving stats) see variable-fill semantics instead
-        of paying full-batch padding.
+        A tape engine bound from an optimized plan at batch ``B > 1`` carries
+        bucket engines at every power of two below ``B`` (bound in the same
+        ``plan.bind``, over views of this engine's arena).  The fill runs on
+        the smallest of them — or this engine — that holds it, zero-padded
+        only up to that bucket, so a partial batch costs about what its
+        bucket costs, not ``B``.  Every plan op is per-sample independent,
+        so the padding rows never influence the real rows: the codes, sliced
+        to the true fill, are bit-identical whichever bucket runs.
         """
-        images = np.asarray(images, dtype=self.input_dtype)
-        if images.ndim != 4 or images.shape[1:] != self.input_shape[1:]:
-            expected = ", ".join(str(s) for s in self.input_shape[1:])
-            raise ValueError(f"expected images shaped (fill, {expected}), got {images.shape}")
+        images = self._check_input(images, partial=True)
         fill = images.shape[0]
-        if not 1 <= fill <= self.batch_size:
-            raise ValueError(f"fill must be in [1, {self.batch_size}], got {fill}")
-        if fill == self.batch_size:
-            return self.run(images)
-        if self._partial_staging is None:
-            self._partial_staging = np.zeros(self.input_shape, dtype=self.input_dtype)
-        staging = self._partial_staging
+        if self.mode == "tape":
+            engine = next((e for e in self._buckets if e.batch_size >= fill), self)
+            return engine._run_tape(images)
+        staging = np.zeros(self.input_shape, dtype=self.input_dtype)
         staging[:fill] = images
-        staging[fill:] = 0.0
-        out = self.run(staging)
+        out = self.run_steps(staging, _checked=True)
         return EngineOutput(codes=out.codes[:fill], fraction=out.fraction,
                             divisor=out.divisor)

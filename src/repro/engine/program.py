@@ -209,13 +209,6 @@ class TapeProgram:
     def choices(self) -> dict[str, str]:
         return {group.name: group.chosen for group in self.tunable_groups}
 
-    def apply_choices(self, choices: dict[str, str]) -> None:
-        for group in self.tunable_groups:
-            choice = choices.get(group.name)
-            if choice is not None and choice in group.builders:
-                group.choose(choice)
-        self.rebuild()
-
     def autotune(self, repeats: int = 5) -> dict[str, str]:
         """Micro-profile every tunable group's variants in place.
 
@@ -268,8 +261,9 @@ class TapeProgram:
 # Emission context
 # ---------------------------------------------------------------------- #
 class _TapeBuild:
-    def __init__(self, fuse: bool) -> None:
+    def __init__(self, fuse: bool, pool) -> None:
         self.fuse = fuse
+        self.pool = pool
         self.arrays: dict[str, np.ndarray] = {}
         self.report = {
             "mode": "fused" if fuse else "unfused",
@@ -282,6 +276,10 @@ class _TapeBuild:
             "eliminated": {"scale": 0, "round": 0, "clip": 0, "slid_clips": 0},
             "tunable_steps": 0,
         }
+
+    def buffer(self, shape, dtype=np.float64, zero_key=None) -> np.ndarray:
+        """A private buffer from the engine's arena (see ``_BufferPool``)."""
+        return self.pool.acquire(shape, dtype, fresh=True, zero_key=zero_key)
 
     def chain_calls(self, chain: ElementwiseChain) -> list[tuple]:
         calls, stats = chain.compile()
@@ -362,7 +360,7 @@ def _emit_add(step, bound, ctx: _TapeBuild):
             for key in ("scale", "round", "clip"):
                 ctx.report["eliminated"][key] += 1
         else:
-            target = dst if dst is not None else np.empty(bound.out_shape)
+            target = dst if dst is not None else ctx.buffer(bound.out_shape)
             calls.extend(ctx.requantize_chain(
                 src, target, shift=shift, qmin=shared.qmin, qmax=shared.qmax,
                 divisor=meta.divisor, bound=_meta_bound(meta)))
@@ -409,8 +407,8 @@ def _emit_leaky_relu(step, bound, ctx: _TapeBuild):
     src = ctx.arrays[step.inputs[0]]
     meta = bound.in_metas[0]
     internal = step.internal
-    x16 = np.empty(bound.out_shape)
-    scaled = np.empty(bound.out_shape)
+    x16 = ctx.buffer(bound.out_shape)
+    scaled = ctx.buffer(bound.out_shape)
     calls = ctx.requantize_chain(src, x16, shift=meta.fraction - internal.fraction,
                                  qmin=internal.qmin, qmax=internal.qmax,
                                  divisor=meta.divisor, bound=_meta_bound(meta))
@@ -436,9 +434,9 @@ def _emit_leaky_relu(step, bound, ctx: _TapeBuild):
 def _emit_max_pool(step, bound, ctx: _TapeBuild):
     src = ctx.arrays[step.inputs[0]]
     n, c, h, w = bound.in_shapes[0]
-    padded = None
-    if step.padding[0] or step.padding[1]:
-        padded = np.zeros((n, c, h + 2 * step.padding[0], w + 2 * step.padding[1]))
+    (ph, pw), padded = step.padding, None
+    if ph or pw:
+        padded = ctx.buffer((n, c, h + 2 * ph, w + 2 * pw), zero_key=("pool_padded", ph, pw))
     run = partial(max_pool_codes, src, step.kernel, step.stride, step.padding,
                   padded, bound.output)
     return [Instr(step.name, step.op, "max_pool", run)]
@@ -517,13 +515,13 @@ def _emit_conv(step, bound, ctx: _TapeBuild):
             dtype = lane.acc.dtype
             ssg = StackedShiftGeometry(n, geometry.in_channels, geometry.height,
                                        geometry.width, geometry.kernel, geometry.stride,
-                                       geometry.padding, dtype=dtype)
+                                       geometry.padding, dtype=dtype, alloc=ctx.buffer)
             pack = pack_stacked_depthwise_weights if step.is_depthwise else pack_stacked_weights
             packed = pack(step.weight_codes, dtype)
             dst = out.reshape(n, o, oh * ow)
             # The raw accumulator can exceed the float32 range, so the GEMM
             # targets the output buffer only when both run in float64 lanes.
-            acc = dst if dtype == out.dtype == np.float64 else np.empty(dst.shape, dtype)
+            acc = dst if dtype == out.dtype == np.float64 else ctx.buffer(dst.shape, dtype)
             constants = dict(lane.constants)
             if constants["bias_addend"] is not None:
                 constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1)
@@ -612,12 +610,11 @@ def compile_tape(engine, fuse: bool = True) -> TapeProgram:
     cached kernel choices when present (artifact loads re-profile nothing);
     otherwise the tape autotunes once and caches the choices on the plan.
     """
-    PIPELINE_COUNTERS.tape_compilations += 1
     plan = engine.plan
     env = engine._env
-    input_buffer = np.zeros(engine.input_shape, dtype=engine.input_dtype)
+    ctx = _TapeBuild(fuse, engine._pool)
+    input_buffer = ctx.buffer(engine.input_shape, engine.input_dtype, zero_key=("input",))
     env[0] = input_buffer
-    ctx = _TapeBuild(fuse)
     ctx.arrays[plan.input_name] = input_buffer
 
     items: list = []
@@ -637,13 +634,14 @@ def compile_tape(engine, fuse: bool = True) -> TapeProgram:
         env[bound.output_slot] = ctx.arrays[step.name]
         env_pins.append((bound.output_slot, ctx.arrays[step.name]))
 
+    # Cached choices apply before anything materializes, so no group builds
+    # (and allocates for) a default variant it would then drop.
+    choices = getattr(plan, "kernel_choices", None) or {}
+    for item in items:
+        if isinstance(item, _TunableGroup) and choices.get(item.name) in item.builders:
+            item.choose(choices[item.name])
     tape = TapeProgram(engine, input_buffer, ctx.arrays[plan.output_name],
                        items, ctx.report, env_pins)
-    if tape.tunable_groups:
-        if plan.kernel_choices:
-            tape.apply_choices(plan.kernel_choices)
-            for group in tape.tunable_groups:   # free the defaults' staging
-                group.drop_unchosen()
-        elif plan.autotune:
-            plan.kernel_choices = tape.autotune()
+    if tape.tunable_groups and not choices and plan.autotune:
+        plan.kernel_choices = tape.autotune()
     return tape

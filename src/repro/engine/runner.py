@@ -11,11 +11,12 @@ batching is part of the number — the trade-off a serving stack actually
 makes.
 
 **Megabatch coalescing** (:func:`pack_partial_fills` /
-:meth:`BatchedRunner.run_partial_groups`): a partially filled batch costs
-exactly one full tape execution regardless of fill, so several pending
-partial fills are packed into one engine pass and the output codes sliced
-back out per group.  Every plan op is per-sample independent, so packing
-never changes a single code — only how many tape executions the fills cost.
+:meth:`BatchedRunner.run_partial_groups`): several pending partial fills
+are packed into one ``run_partial`` call and the output codes sliced back
+out per group.  Each call runs on the smallest power-of-two bucket tape
+that holds its fill (see :meth:`CompiledEngine.run_partial`), so packing
+saves per-call dispatch, not padded rows.  Every plan op is per-sample
+independent, so packing never changes a single code.
 """
 
 from __future__ import annotations

@@ -37,11 +37,15 @@ __all__ = ["EwmaCostModel", "AdmissionPolicy", "AdmissionDecision", "AdmissionCo
 
 
 class EwmaCostModel:
-    """Exponentially weighted moving average of per-batch compute seconds.
+    """Exponentially weighted moving averages of per-batch compute seconds.
 
-    One scalar per model: TQT engines run a fixed-shape plan, so per-batch
-    cost is nearly fill-independent (padding rows are computed either way),
-    which makes the per-batch EWMA the right granularity.
+    One EWMA per (model, bucket).  An optimized engine runs a partial batch
+    on the smallest power-of-two bucket that holds it, so batch cost
+    follows the fill: :meth:`observe` files a measurement under its fill's
+    bucket (the smallest power of two >= ``fill``; ``fill=None`` is a full
+    batch).  :meth:`estimate` and :meth:`to_dict` report the full-batch
+    entries, which admission prices every batch ahead at — so cheap
+    partial fills never drag the full-batch estimate down.
     """
 
     def __init__(self, alpha: float = 0.3, default_s: float = 5e-3) -> None:
@@ -49,25 +53,28 @@ class EwmaCostModel:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
         self.default_s = default_s
-        self._estimates: dict[str, float] = {}
+        #: (model, bucket) -> EWMA seconds; bucket ``None`` is the full batch
+        self._estimates: dict[tuple[str, int | None], float] = {}
 
     def prime(self, model: str, seconds: float) -> None:
-        """Seed the estimate from a warmup measurement."""
-        self._estimates[model] = float(seconds)
+        """Seed the full-batch estimate from a warmup measurement."""
+        self._estimates[(model, None)] = float(seconds)
 
-    def observe(self, model: str, seconds: float) -> None:
-        prev = self._estimates.get(model)
+    def observe(self, model: str, seconds: float, fill: int | None = None) -> None:
+        key = (model, None if fill is None else 1 << (int(fill) - 1).bit_length())
+        prev = self._estimates.get(key)
         if prev is None:
-            self._estimates[model] = float(seconds)
+            self._estimates[key] = float(seconds)
         else:
-            self._estimates[model] = self.alpha * float(seconds) + (1.0 - self.alpha) * prev
+            self._estimates[key] = self.alpha * float(seconds) + (1.0 - self.alpha) * prev
 
     def estimate(self, model: str) -> float:
-        """Current per-batch cost estimate (``default_s`` before any data)."""
-        return self._estimates.get(model, self.default_s)
+        """Current full-batch cost estimate (``default_s`` before any data)."""
+        return self._estimates.get((model, None), self.default_s)
 
     def to_dict(self) -> dict:
-        return {model: est for model, est in sorted(self._estimates.items())}
+        return dict(sorted((model, est) for (model, bucket), est
+                           in self._estimates.items() if bucket is None))
 
 
 @dataclass(frozen=True)

@@ -152,14 +152,13 @@ def _worker_main(worker_index: int, artifact_paths: dict[str, str],
                     clock_offset = trace["now"] - time.perf_counter()
                     if trace.get("tape") and getattr(engine, "mode", None) == "tape":
                         from ..telemetry.trace import attach_tape_sink
-                        tape = engine._ensure_tape()
                         lane = f"proc-worker-{worker_index}-tape"
 
                         def emit(name, args, t0, t1, _lane=lane):
                             spans.append((name, "tape", t0 + clock_offset,
                                           t1 + clock_offset, _lane, None, args))
 
-                        detach = attach_tape_sink(tape, emit)
+                        detach = attach_tape_sink(engine, emit)
                 try:
                     start = time.perf_counter()
                     outputs, executions = run_partial_groups(engine, groups)

@@ -101,7 +101,7 @@ def _tape_spans(tracer, telemetry, engine, worker_index: int,
         tracer.record(name, "tape", base + (t0 - wall_origin),
                       base + (t1 - wall_origin), lane=lane, args=args)
 
-    return attach_tape_sink(engine.tape, emit)
+    return attach_tape_sink(engine, emit)
 
 
 def _check_fault_plane(**values) -> None:
@@ -349,6 +349,11 @@ class FleetServer:
                              f"pacer instance, got {pacing!r}")
         return pacing, getattr(pacing, "kind", "custom")
 
+    def _bucket_fill(self, fill: int) -> int | None:
+        """``fill`` when a power-of-two bucket tape below the batch runs it;
+        ``None`` (the full-batch cost entry) when the engine itself does."""
+        return fill if 1 << (fill - 1).bit_length() < self.batch_size else None
+
     def _serve_virtual(self, reqs: list[Request], session: _ServeSession,
                        injector) -> FleetReport:
         """The discrete-event scheduler over a pre-validated, sorted stream.
@@ -468,7 +473,9 @@ class FleetServer:
                 # Straggler: correct codes, degraded timing.
                 session.note_fault("slow_task")
                 compute += event.duration_s
-            self.cost_model.observe(model, compute)
+            # A modeled cost (compute_time_fn) keeps feeding the full-batch entry.
+            self.cost_model.observe(model, compute, None if self.compute_time_fn
+                                    else self._bucket_fill(fill))
             finish = launch_t + compute
             worker_free[worker_index] = finish
             model_free[model] = finish
@@ -809,8 +816,11 @@ class FleetServer:
                                         "executions": executions,
                                         "backend": self.backend,
                                         "compute_ms": elapsed * 1e3})
+                # Mean images per engine pass: the bucket the cost belongs to.
+                fill = -(-sum(len(batch) for batch in groups) // max(1, executions))
                 with work_ready:
-                    self.cost_model.observe(model, elapsed / max(1, executions))
+                    self.cost_model.observe(model, elapsed / max(1, executions),
+                                            self._bucket_fill(fill))
                     if len(groups) > 1:
                         session.metrics.record_megabatch(model, len(groups))
                     for batch, codes in zip(groups, group_codes):
@@ -829,7 +839,10 @@ class FleetServer:
             """Paced ingestion: release requests on the wall clock."""
             nonlocal ingesting
             try:
-                for req, now in pacer:
+                for req, _ in pacer:
+                    # Stamp the release on the latency clock (serve_start's
+                    # origin); the pacer's own offsets start later, in here.
+                    now = time.perf_counter() - serve_start
                     with work_ready:
                         if failures:
                             break

@@ -262,7 +262,7 @@ def tape_span_args(tape) -> dict[int, dict]:
     """Static per-instruction span metadata for one compiled tape.
 
     Keyed by ``id(instr)`` over the tape's *current* flat instruction list
-    (rebuild the map after ``apply_choices``/``rebuild``).  Each entry
+    (rebuild the map after ``rebuild``).  Each entry
     carries the lowered op, the instruction kind (kernel), the chosen
     autotune variant for tunable groups, and the producing step's output
     shape and arena buffer slot when the engine exposes them.
@@ -297,8 +297,9 @@ def tape_span_args(tape) -> dict[int, dict]:
     return info
 
 
-def attach_tape_sink(tape, emit) -> Callable[[], None]:
-    """Install a per-instruction trace sink on a ``TapeProgram``.
+def attach_tape_sink(target, emit) -> Callable[[], None]:
+    """Install a per-instruction trace sink on a ``TapeProgram`` — or on
+    every tape a tape-mode engine runs (its own and its bucket engines').
 
     ``emit(name, args, start_s, end_s)`` is called once per executed
     instruction with **raw** ``time.perf_counter()`` stamps — the caller
@@ -306,14 +307,20 @@ def attach_tape_sink(tape, emit) -> Callable[[], None]:
     sink must be detached before another (untraced) execution is timed,
     as the traced loop adds two clock reads per instruction.
     """
-    args_by_id = tape_span_args(tape)
+    if getattr(target, "tape", None) is not None:        # an engine
+        tapes = [engine.tape for engine in (target, *target._buckets)]
+    else:
+        tapes = [target]
+    for one in tapes:
+        args_by_id = tape_span_args(one)
 
-    def sink(instr, start_s: float, end_s: float) -> None:
-        emit(instr.name, args_by_id.get(id(instr), {}), start_s, end_s)
+        def sink(instr, start_s: float, end_s: float, args_by_id=args_by_id) -> None:
+            emit(instr.name, args_by_id.get(id(instr), {}), start_s, end_s)
 
-    tape.trace_sink = sink
+        one.trace_sink = sink
 
     def detach() -> None:
-        tape.trace_sink = None
+        for one in tapes:
+            one.trace_sink = None
 
     return detach

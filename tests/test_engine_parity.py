@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import deploy
 from repro.engine import (
@@ -13,6 +15,7 @@ from repro.engine import (
     check_engine_parity,
     lower_graph,
 )
+from repro.engine.plan import _BufferPool
 from repro.models import MODEL_REGISTRY, build_model
 from repro.quant import QuantConfig, requantize_codes, shift_requantize
 
@@ -54,6 +57,108 @@ def test_pure_int64_backend_matches(model_name):
     np.testing.assert_array_equal(reference_blas.run(batch).codes, pure.codes)
     report = check_engine_parity(oracle.graph, oracle.engine, [batch])
     assert report.bit_exact
+
+
+# ---------------------------------------------------------------------- #
+# Bucket tapes: every fill on its power-of-two bucket, bit-exact
+# ---------------------------------------------------------------------- #
+@pytest.fixture(scope="module")
+def deployed():
+    """``deployed(name)`` -> (default deployment, int64 steps-mode oracle)."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = (_compile(name),
+                           _compile(name, optimize=False, accumulate="int", mode="steps"))
+        return cache[name]
+
+    return get
+
+
+def _images(rng, fill: int) -> np.ndarray:
+    return rng.standard_normal((fill, 3, IMAGE_SIZE, IMAGE_SIZE))
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_every_fill_matches_the_oracle(model_name, deployed):
+    compiled, oracle = deployed(model_name)
+    engine = compiled.engine
+    assert [bucket.batch_size for bucket in engine._buckets] == [1, 2]
+    rng = np.random.default_rng(17)
+    for fill in range(1, BATCH + 1):
+        images = _images(rng, fill)
+        np.testing.assert_array_equal(engine.run_partial(images).codes,
+                                      oracle.engine.run_partial(images).codes)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+@settings(max_examples=6, deadline=None)
+@given(fills=st.lists(st.integers(0, BATCH), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_interleaved_bucket_and_full_runs_match_the_oracle(model_name, deployed,
+                                                           fills, seed):
+    """Buckets write through views of the B tape's arena: any interleaving of
+    ``run`` (fill 0 here) and ``run_partial`` stays bit-exact, and a closing
+    full-batch ``run`` finds every zero border intact."""
+    compiled, oracle = deployed(model_name)
+    rng = np.random.default_rng(seed)
+    for fill in [*fills, 0]:
+        if fill == 0:
+            images = _images(rng, BATCH)
+            got, want = compiled.engine.run(images), oracle.engine.run(images)
+        else:
+            images = _images(rng, fill)
+            got = compiled.engine.run_partial(images)
+            want = oracle.engine.run_partial(images)
+        np.testing.assert_array_equal(got.codes, want.codes)
+
+
+@pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
+def test_bucket_tapes_live_in_the_engine_arena(model_name, deployed):
+    engine = deployed(model_name)[0].engine
+    bucket_bytes = sum(bucket._pool.bytes_created for bucket in engine._buckets)
+    assert bucket_bytes <= 0.05 * engine._pool.bytes_created
+    for bucket in engine._buckets:
+        assert np.shares_memory(bucket.tape.input_buffer, engine.tape.input_buffer)
+        assert bucket.plan is engine.plan
+        assert bucket.tape.choices() == engine.tape.choices()
+
+
+def test_bucket_pool_lends_each_live_donor_buffer_once_and_by_zero_key():
+    donor = _BufferPool()
+    plain = donor.acquire((4, 3, 6, 6), fresh=True)
+    border_a = donor.acquire((4, 3, 6, 6), zero_key=("pad", 1))
+    border_b = donor.acquire((4, 3, 6, 6), zero_key=("pad", 2))
+    donor.acquire((4, 5), fresh=True)        # dropped by its engine: never lent
+    bucket = _BufferPool(donor=donor)
+    view = bucket.acquire((2, 3, 6, 6), zero_key=("pad", 2))
+    assert np.shares_memory(view, border_b) and view.shape == (2, 3, 6, 6)
+    assert np.shares_memory(bucket.acquire((2, 3, 6, 6), fresh=True), plain)
+    fresh = bucket.acquire((2, 3, 6, 6), fresh=True)     # ``plain`` is taken
+    dropped = bucket.acquire((2, 5), fresh=True)
+    assert not any(np.shares_memory(fresh, big) for big in (plain, border_a, border_b))
+    assert bucket.bytes_created == fresh.nbytes + dropped.nbytes
+
+
+def test_buckets_only_for_batched_optimized_tapes(deployed):
+    compiled, oracle = deployed("lenet_nano")
+    assert oracle.engine._buckets == []
+    shape = compiled.engine.input_shape
+    assert compiled.plan.bind((1, *shape[1:]))._buckets == []
+    unoptimized = _compile("lenet_nano", optimize=False)
+    assert unoptimized.engine.mode == "tape" and unoptimized.engine._buckets == []
+    # A batch that is not a power of two: fills above the largest bucket
+    # run on the engine itself.
+    engine = compiled.plan.bind((6, *shape[1:]))
+    assert [bucket.batch_size for bucket in engine._buckets] == [1, 2, 4]
+    rng = np.random.default_rng(5)
+    for fill in (3, 5, 6):
+        images = _images(rng, fill)
+        want = np.concatenate([oracle.engine.run_partial(images[:BATCH]).codes,
+                               *([oracle.engine.run_partial(images[BATCH:]).codes]
+                                 if fill > BATCH else [])])
+        np.testing.assert_array_equal(engine.run_partial(images).codes, want)
 
 
 # ---------------------------------------------------------------------- #

@@ -123,6 +123,40 @@ def test_tape_choices_are_cached_on_the_plan(mobilenet):
     assert rebound.tape.choices() == choices
 
 
+def test_cached_choices_build_each_group_once(mobilenet, mobilenet_oracle, monkeypatch):
+    """A cached choice is applied before anything materializes: no group
+    builds (and allocates for) a default variant it would then drop."""
+    from repro.engine import program
+
+    groups = mobilenet.engine.tape.tunable_groups
+    # Non-default choices wherever a group has them, so a build-the-default-
+    # then-switch compile would show up as a second build.
+    forced = {g.name: next((v for v in g.variants if v != g.default), g.default)
+              for g in groups}
+    assert any(forced[g.name] != g.default for g in groups)
+    monkeypatch.setattr(mobilenet.plan, "kernel_choices", forced)
+    builds = []
+    materialize = program._TunableGroup.materialize
+
+    def counting(group, variant):
+        if variant not in group._materialized:
+            builds.append((id(group), variant))
+        return materialize(group, variant)
+
+    monkeypatch.setattr(program._TunableGroup, "materialize", counting)
+    engine = mobilenet.plan.bind(mobilenet.engine.input_shape)
+    tapes = [engine.tape] + [bucket.tape for bucket in engine._buckets]
+    assert len(builds) == len(set(builds)) == len(tapes) * len(groups)
+    assert {variant for _, variant in builds} <= set(forced.values())
+    for tape in tapes:
+        assert tape.choices() == forced
+    for batch in _batches(2, seed=4):
+        np.testing.assert_array_equal(engine.run(batch).codes,
+                                      mobilenet_oracle.run(batch).codes)
+        np.testing.assert_array_equal(engine.run_partial(batch[:1]).codes,
+                                      mobilenet_oracle.run(batch).codes[:1])
+
+
 def test_unoptimized_plan_tape_parity():
     deployment = deploy.compile("lenet_nano", SMALL.with_overrides(optimize=False))
     engine = deployment.engine

@@ -140,6 +140,21 @@ def test_ewma_cost_model_prime_and_observe():
         EwmaCostModel(alpha=0.0)
 
 
+def test_ewma_cost_model_files_partial_fills_under_their_bucket():
+    model = EwmaCostModel(alpha=0.5)
+    model.prime("m", 0.004)
+    # Fills 3 and 4 share the b4 bucket; neither moves the full-batch entry.
+    model.observe("m", 0.001, fill=3)
+    model.observe("m", 0.003, fill=4)
+    model.observe("m", 0.0005, fill=1)
+    assert model.estimate("m") == 0.004
+    assert model.to_dict() == {"m": 0.004}
+    assert model._estimates[("m", 4)] == pytest.approx(0.002)
+    assert model._estimates[("m", 1)] == 0.0005
+    model.observe("m", 0.006)
+    assert model.estimate("m") == pytest.approx(0.005)
+
+
 def _controller(max_depth=2, cost=0.01) -> tuple[AdmissionController, dict]:
     cost_model = EwmaCostModel(default_s=cost)
     controller = AdmissionController(AdmissionPolicy(max_queue_depth=max_depth),

@@ -12,6 +12,7 @@ clock.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +219,38 @@ def test_real_serving_with_open_and_closed_pacing_matches_virtual_codes():
     for outcome in closed_report.outcomes:
         np.testing.assert_array_equal(outcome.codes,
                                       reference[outcome.request_id])
+
+
+def test_paced_release_is_stamped_on_the_latency_clock():
+    """Releases sit on ``serve_start``'s origin, not on the pacer's own clock:
+    a pacer that starts late must not push its delay into every latency."""
+    late_s = 0.3
+
+    class LatePacer(OpenLoopPacer):
+        def __iter__(self):
+            time.sleep(late_s)           # the pacer's clock starts here
+            yield from super().__iter__()
+
+    requests = [_request(i, 0.01 * i) for i in range(6)]
+    report = _server("real").serve(requests, pacing=LatePacer(requests))
+    assert report.completed == len(requests)
+    for outcome in report.outcomes:
+        assert outcome.release_s >= late_s
+        assert outcome.latency_s < late_s
+
+
+def test_measured_costs_feed_the_bucket_that_ran_them():
+    """Fills 5..7 of a batch-8 engine run on the engine itself, so their
+    measured cost feeds the full-batch entry admission prices at."""
+    server = _server("virtual")
+    assert [server._bucket_fill(fill) for fill in range(1, BATCH + 1)] == [
+        1, 2, 3, 4, None, None, None, None]
+    requests = _burst_requests(rate_rps=2000.0, duration_s=0.05)
+    report = server.serve(requests)
+    assert report.completed == len(requests)
+    buckets = {bucket for _, bucket in server.cost_model._estimates}
+    assert buckets <= {None, 1, 2, 4}
+    assert report.cost_model_s.keys() == set(FLEET)
 
 
 def test_virtual_execution_rejects_non_flood_pacing():
