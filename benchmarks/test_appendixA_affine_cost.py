@@ -23,7 +23,6 @@ from repro.quant import (
     affine_matmul_with_zero_points,
     count_affine_cost,
     fixed_point_multiplier,
-    integer_matmul,
     multiplier_requantize,
     shift_requantize,
 )
@@ -43,7 +42,7 @@ def test_appendixA_affine_quantizer_cost(benchmark, report_writer):
     np.testing.assert_array_equal(affine_matmul_with_zero_points(q1, q2, 0, 0), q1 @ q2)
 
     config = QuantConfig(bits=8)
-    accumulator = integer_matmul(q1, q2)
+    accumulator = q1 @ q2             # int64 codes: exact accumulation
     shifted = shift_requantize(accumulator, 9, config)
     multiplied = multiplier_requantize(accumulator, 2.0 ** -9, config)
     np.testing.assert_array_equal(shifted, multiplied)   # pow-2 multiplier == shift

@@ -10,9 +10,10 @@ nested, validated configs:
   :class:`repro.quant.config.QuantConfig`, which describes a *single
   quantizer*; this one describes the deployment-level quantization recipe.
 * :class:`RuntimeConfig` — how the compiled plan executes (batch shape,
-  accumulation backend, executor).  An optimized compile runs only as a
-  BLAS-lane tape; ``accumulate="int"`` / ``mode="steps"`` select the oracle
-  and need ``CompileConfig(optimize=False)``.
+  accumulation backend, executor).  Each plan has one executor: an
+  optimized compile runs only as a BLAS-lane tape, and a reference compile
+  (``CompileConfig(optimize=False)``) only on the step interpreter, so the
+  oracle is ``optimize=False`` with ``accumulate="int"`` / ``mode="steps"``.
 * :class:`CompileConfig` — the full compile recipe: model parameters plus
   the two configs above plus the optimizer/autotune switches.  Its
   :meth:`CompileConfig.to_dict` form is canonical and feeds the
@@ -69,7 +70,7 @@ class RuntimeConfig:
 
     batch_size: int = 8
     accumulate: str = "blas"
-    mode: str = "tape"        # "tape" (flat instruction program) | "steps"
+    mode: str = "tape"        # "tape" (optimized plans) | "steps" (reference plans)
     fuse: bool = True         # tape elementwise-chain fusion (A/B knob)
 
     def __post_init__(self) -> None:

@@ -225,9 +225,9 @@ class Deployment:
         A tape-mode deployment (every optimized one) reports its compiled
         instruction program — fused elementwise chains as single
         instructions, tunable groups under their chosen kernel variant; a
-        steps-mode deployment reports one row per lowered plan step.
-        ``level`` (``"tape"`` | ``"steps"``) overrides the choice; see
-        :meth:`repro.engine.plan.CompiledEngine.profile`.
+        steps-mode deployment (every reference one) reports one row per
+        lowered plan step.  ``level`` (``"tape"`` | ``"steps"``) may only
+        name that executor; see :meth:`repro.engine.plan.CompiledEngine.profile`.
         """
         return self.engine.profile(x=x, repeats=repeats, level=level)
 

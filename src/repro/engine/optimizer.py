@@ -443,7 +443,61 @@ def _f32_constants(constants: dict) -> dict:
 # ---------------------------------------------------------------------- #
 # Optimized compute steps
 # ---------------------------------------------------------------------- #
-class _FusedConvStep(_ComputeStep):
+class _OptimizedStep(_ComputeStep):
+    """Constructor, prepack and bind skeleton shared by the optimized steps.
+
+    A subclass names the shape fields it keeps from the reference step it
+    rewrites, the weight layout its kernels read, and — in ``bind`` — the
+    accumulator and staging buffers of one lane; :meth:`_bind_lanes` does
+    the rest in the same order for all three.
+    """
+
+    #: fields copied from the reference step (pickled under these names)
+    _SHAPE_FIELDS: tuple[str, ...] = ()
+
+    def __init__(self, src: _ComputeStep) -> None:
+        super().__init__(src.name, src.op, list(src.inputs),
+                         weight_codes=src.weight_codes,
+                         weight_fraction=src.weight_fraction,
+                         bias_codes=src.bias_codes, bias_fraction=src.bias_fraction,
+                         internal=src.internal, activation=src.activation,
+                         output=src.output_stage)
+        for name in self._SHAPE_FIELDS:
+            setattr(self, name, getattr(src, name))
+        self.packed: dict[str, np.ndarray] = {}
+
+    def _weight_layout(self) -> np.ndarray:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+    def prepack(self) -> int:
+        """Stage the weight codes in kernel layout, once per lane dtype."""
+        layout = self._weight_layout()
+        self.packed = {"f64": np.ascontiguousarray(layout, dtype=np.float64),
+                       "f32": np.ascontiguousarray(layout, dtype=np.float32)}
+        return sum(w.nbytes for w in self.packed.values())
+
+    def _bind_lanes(self, x, ctx, out_shape: tuple, k_per_output: int,
+                    bias_shape: tuple, lane):
+        """Tail constants, bias reshape, output buffer, float64 lane and —
+        when :func:`_f32_exact` proves it — float32 lane.  ``lane(dtype,
+        out)`` returns the lane's ``acc`` / ``staging`` / ``geometry``."""
+        constants = self._tail_constants(
+            x.meta, k_per_output=k_per_output,
+            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
+        if constants["bias_addend"] is not None:
+            constants["bias_addend"] = constants["bias_addend"].reshape(bias_shape)
+        out = ctx.pool.acquire(out_shape, _out_dtype(constants))
+        lanes = [_Lane(self.packed["f64"], constants=constants, **lane(np.float64, out))]
+        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
+            lanes.append(_Lane(self.packed["f32"], constants=_f32_constants(constants),
+                               **lane(np.float32, out)))
+        return partial(_BoundKernel, lanes=lanes), out_shape, constants["out_meta"], out
+
+
+_CONV_FIELDS = ("out_channels", "kernel_size", "stride", "padding", "groups")
+
+
+class _FusedConvStep(_OptimizedStep):
     """Conv step with prepacked weights and the epilogue fused onto the kernel.
 
     Every family contracts the strided window view directly — depthwise
@@ -453,40 +507,24 @@ class _FusedConvStep(_ComputeStep):
     accumulator→image transpose.
     """
 
-    def __init__(self, src: _ConvStep) -> None:
-        super().__init__(src.name, src.op, list(src.inputs),
-                         weight_codes=src.weight_codes,
-                         weight_fraction=src.weight_fraction,
-                         bias_codes=src.bias_codes, bias_fraction=src.bias_fraction,
-                         internal=src.internal, activation=src.activation,
-                         output=src.output_stage)
-        self.out_channels = src.out_channels
-        self.kernel_size = src.kernel_size
-        self.stride = src.stride
-        self.padding = src.padding
-        self.groups = src.groups
-        self.packed: dict[str, np.ndarray] = {}
+    _SHAPE_FIELDS = _CONV_FIELDS
 
     @property
     def is_depthwise(self) -> bool:
         return (self.groups > 1 and self.groups == self.out_channels
                 and self.weight_codes.shape[1] == 1)
 
-    def prepack(self) -> int:
-        """Stage the weight codes in einsum-ready layout (once, not per bind)."""
+    def _weight_layout(self) -> np.ndarray:
         g = self.groups
         o, cg, kh, kw = self.weight_codes.shape
         if self.is_depthwise:
-            packed = self.weight_codes.reshape(g, kh, kw)
-        elif g == 1:
-            packed = self.weight_codes
-        else:
-            # (G, Og, Cg, KH, KW): splitting the window view's channel axis
-            # into (G, Cg) is stride-free, so each group contracts against
-            # its own filter block.
-            packed = self.weight_codes.reshape(g, o // g, cg, kh, kw)
-        self.packed = {"f64": packed.astype(np.float64), "f32": packed.astype(np.float32)}
-        return sum(w.nbytes for w in self.packed.values())
+            return self.weight_codes.reshape(g, kh, kw)
+        if g == 1:
+            return self.weight_codes
+        # (G, Og, Cg, KH, KW): splitting the window view's channel axis into
+        # (G, Cg) is stride-free, so each group contracts against its own
+        # filter block.
+        return self.weight_codes.reshape(g, o // g, cg, kh, kw)
 
     def describe(self) -> str:
         kind = "depthwise-direct" if self.is_depthwise else "window-gemm"
@@ -502,39 +540,20 @@ class _FusedConvStep(_ComputeStep):
                 self.padding, self.groups, dtype=dtype, scratch=ctx.scratch)
 
         geometry64 = geometry(np.float64)
-        k = (c_in // self.groups) * geometry64.kernel[0] * geometry64.kernel[1]
-        constants = self._tail_constants(
-            x.meta, k_per_output=k,
-            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
-        if constants["bias_addend"] is not None:
-            constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1, 1)
         shape = geometry64.output_shape
-        out = ctx.pool.acquire(shape, _out_dtype(constants))
-        lanes = [_Lane(self.packed["f64"], ctx.scratch(("conv_image",), shape),
-                       constants, geometry=geometry64)]
-        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
-            lanes.append(_Lane(self.packed["f32"],
-                               ctx.scratch(("conv_image",), shape, np.float32),
-                               _f32_constants(constants), geometry=geometry(np.float32)))
-        return partial(_BoundKernel, lanes=lanes), shape, constants["out_meta"], out
+
+        def lane(dtype, out):
+            return dict(acc=ctx.scratch(("conv_image",), shape, dtype),
+                        geometry=geometry64 if dtype == np.float64 else geometry(dtype))
+
+        k = (c_in // self.groups) * geometry64.kernel[0] * geometry64.kernel[1]
+        return self._bind_lanes(x, ctx, shape, k, (1, -1, 1, 1), lane)
 
 
-class _PointwiseConvStep(_ComputeStep):
+class _PointwiseConvStep(_OptimizedStep):
     """1x1 ungrouped conv as a direct channel-axis GEMM (im2col eliminated)."""
 
-    def __init__(self, src: _ConvStep) -> None:
-        super().__init__(src.name, src.op, list(src.inputs),
-                         weight_codes=src.weight_codes,
-                         weight_fraction=src.weight_fraction,
-                         bias_codes=src.bias_codes, bias_fraction=src.bias_fraction,
-                         internal=src.internal, activation=src.activation,
-                         output=src.output_stage)
-        self.out_channels = src.out_channels
-        self.kernel_size = src.kernel_size
-        self.stride = src.stride
-        self.padding = src.padding
-        self.groups = src.groups
-        self.packed: dict[str, np.ndarray] = {}
+    _SHAPE_FIELDS = _CONV_FIELDS
 
     @classmethod
     def eligible(cls, src) -> bool:
@@ -548,11 +567,8 @@ class _PointwiseConvStep(_ComputeStep):
         stride = _normalize_pair(self.stride)
         return stride if stride != (1, 1) else None
 
-    def prepack(self) -> int:
-        packed = np.ascontiguousarray(
-            self.weight_codes.reshape(self.out_channels, -1).astype(np.float64))
-        self.packed = {"f64": packed, "f32": packed.astype(np.float32)}
-        return sum(w.nbytes for w in self.packed.values())
+    def _weight_layout(self) -> np.ndarray:
+        return self.weight_codes.reshape(self.out_channels, -1)
 
     def describe(self) -> str:
         return super().describe() + ", pointwise-gemm[no-im2col]"
@@ -562,47 +578,29 @@ class _PointwiseConvStep(_ComputeStep):
         n, c_in, h, w = x.shape
         sh, sw = self.subsample or (1, 1)
         oh, ow = (h - 1) // sh + 1, (w - 1) // sw + 1
-        out_shape = (n, self.out_channels, oh, ow)
         gemm_shape = (n, self.out_channels, oh * ow)
-        constants = self._tail_constants(
-            x.meta, k_per_output=c_in,
-            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
-        if constants["bias_addend"] is not None:
-            constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1)
-        out = ctx.pool.acquire(out_shape, _out_dtype(constants))
-        # The GEMM may only target the output buffer directly when its lanes
-        # are float64 — the raw accumulator can exceed the float32 range.
-        acc = (out.reshape(gemm_shape) if out.dtype == np.float64
-               else ctx.scratch(("pw_acc",), gemm_shape))
-        staging = (ctx.scratch(("pw_staging",), (n, c_in, oh, ow))
-                   if self.subsample is not None else None)
-        lanes = [_Lane(self.packed["f64"], acc, constants, staging=staging)]
-        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
-            lanes.append(_Lane(
-                self.packed["f32"], ctx.scratch(("pw_acc",), gemm_shape, np.float32),
-                _f32_constants(constants),
-                staging=ctx.scratch(("pw_staging",), (n, c_in, oh, ow), np.float32)))
-        return partial(_BoundKernel, lanes=lanes), out_shape, constants["out_meta"], out
+
+        def lane(dtype, out):
+            # The GEMM may only target the output buffer directly when its
+            # lanes are float64 — the raw accumulator can exceed the float32
+            # range; strided or narrowed inputs need a staging copy.
+            acc = (out.reshape(gemm_shape) if out.dtype == dtype == np.float64
+                   else ctx.scratch(("pw_acc",), gemm_shape, dtype))
+            staging = (ctx.scratch(("pw_staging",), (n, c_in, oh, ow), dtype)
+                       if self.subsample is not None or dtype != np.float64 else None)
+            return dict(acc=acc, staging=staging)
+
+        return self._bind_lanes(x, ctx, (n, self.out_channels, oh, ow), c_in,
+                                (1, -1, 1), lane)
 
 
-class _FusedLinearStep(_ComputeStep):
+class _FusedLinearStep(_OptimizedStep):
     """Linear step with prepacked weights and an in-place epilogue."""
 
-    def __init__(self, src: _LinearStep) -> None:
-        super().__init__(src.name, src.op, list(src.inputs),
-                         weight_codes=src.weight_codes,
-                         weight_fraction=src.weight_fraction,
-                         bias_codes=src.bias_codes, bias_fraction=src.bias_fraction,
-                         internal=src.internal, activation=src.activation,
-                         output=src.output_stage)
-        self.out_features = src.out_features
-        self.in_features = src.in_features
-        self.packed: dict[str, np.ndarray] = {}
+    _SHAPE_FIELDS = ("out_features", "in_features")
 
-    def prepack(self) -> int:
-        packed = np.ascontiguousarray(self.weight_codes.T.astype(np.float64))
-        self.packed = {"f64": packed, "f32": packed.astype(np.float32)}
-        return sum(w.nbytes for w in self.packed.values())
+    def _weight_layout(self) -> np.ndarray:
+        return self.weight_codes.T
 
     def describe(self) -> str:
         return super().describe() + ", fused-epilogue[gemm]"
@@ -613,20 +611,15 @@ class _FusedLinearStep(_ComputeStep):
             raise PlanError(f"{self.name}: expected input (N, {self.in_features}), "
                             f"got {x.shape}")
         shape = (x.shape[0], self.out_features)
-        constants = self._tail_constants(
-            x.meta, k_per_output=self.in_features,
-            weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
-        if constants["bias_addend"] is not None:
-            constants["bias_addend"] = constants["bias_addend"].reshape(1, -1)
-        out = ctx.pool.acquire(shape, _out_dtype(constants))
-        acc = out if out.dtype == np.float64 else ctx.scratch(("fc_acc",), shape)
-        lanes = [_Lane(self.packed["f64"], acc, constants)]
-        if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
-            lanes.append(_Lane(
-                self.packed["f32"], ctx.scratch(("fc_acc",), shape, np.float32),
-                _f32_constants(constants),
-                staging=ctx.scratch(("fc_staging",), x.shape, np.float32)))
-        return partial(_BoundKernel, lanes=lanes), shape, constants["out_meta"], out
+
+        def lane(dtype, out):
+            acc = (out if out.dtype == dtype == np.float64
+                   else ctx.scratch(("fc_acc",), shape, dtype))
+            staging = (None if dtype == np.float64
+                       else ctx.scratch(("fc_staging",), x.shape, dtype))
+            return dict(acc=acc, staging=staging)
+
+        return self._bind_lanes(x, ctx, shape, self.in_features, (1, -1), lane)
 
 
 # ---------------------------------------------------------------------- #
@@ -659,7 +652,9 @@ class OptimizedPlan(ExecutionPlan):
                 f"an optimized plan executes only as a tape in the BLAS lanes, got "
                 f"accumulate={accumulate!r}, mode={mode!r}; int64 accumulation and the "
                 f"step interpreter are the oracle — lower with optimize=False")
-        engine = super().bind(input_shape, fuse=fuse)
+        engine = self._bind(tuple(int(s) for s in input_shape), "blas", "tape", fuse,
+                            _BufferPool())
+        PIPELINE_COUNTERS.tape_compilations += 1
         # Bucket engines at every power of two below the batch: the same
         # steps, prepacked weights and cached kernel choices, bound over
         # views of the engine's arena (``run_partial`` picks by fill).

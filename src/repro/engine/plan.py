@@ -10,11 +10,12 @@ power-of-2 requantization shift (Eq. 16), so the whole network runs in
 integer arithmetic exactly as the paper's fixed-point deployment does.
 
 ``ExecutionPlan.bind(input_shape)`` turns the symbolic plan into a
-:class:`CompiledEngine`: shapes are inferred, weight matrices are staged for
-the accumulation backend, worst-case accumulator magnitudes are verified
-(exactness + int32-MAC fit), and a linear-scan register allocator assigns
-every step an output buffer from a reuse pool so the steady-state forward
-pass allocates nothing.
+step-interpreted :class:`CompiledEngine` (an optimized plan's ``bind``
+compiles a tape instead; each plan has exactly one executor): shapes are
+inferred, weight matrices are staged for the accumulation backend,
+worst-case accumulator magnitudes are verified (exactness + int32-MAC fit),
+and a linear-scan register allocator assigns every step an output buffer
+from a reuse pool so the steady-state forward pass allocates nothing.
 
 The plan is *bit-exact* against the float fake-quant simulation: the parity
 suite (:mod:`repro.engine.parity`) asserts identical output codes for every
@@ -957,7 +958,7 @@ class ExecutionPlan:
     steps: list = field(default_factory=list)
 
     def bind(self, input_shape: tuple[int, ...], accumulate: str = "blas",
-             mode: str = "tape", fuse: bool = True) -> "CompiledEngine":
+             mode: str = "steps", fuse: bool = True) -> "CompiledEngine":
         """Bind the plan to a concrete input shape.
 
         Infers shapes and value metadata, stages weights for the requested
@@ -965,26 +966,22 @@ class ExecutionPlan:
         pure int64), verifies accumulator ranges, and assigns every step an
         output buffer with linear-scan reuse.
 
-        ``mode`` selects the execution path of :meth:`CompiledEngine.run`:
-        ``"tape"`` (default) compiles the bound steps into a flat instruction
-        program with fused elementwise chains
-        (:mod:`repro.engine.program`); ``"steps"`` keeps the per-step
-        interpreter — with ``accumulate="int"`` the oracle every other
-        executor is checked against.  ``fuse=False`` disables the tape's
-        elementwise-chain elimination (for A/B benchmarking); both settings
-        are bit-exact.  An :class:`~repro.engine.optimizer.OptimizedPlan`
-        accepts only the defaults: it executes only as a BLAS-lane tape.
+        Each plan has exactly one executor.  A reference plan runs only on
+        the step interpreter (``mode="steps"``) — with ``accumulate="int"``
+        the oracle every optimized tape is checked against — so
+        ``mode="tape"`` raises :class:`ValueError`: the tape executes an
+        :class:`~repro.engine.optimizer.OptimizedPlan` (compile with
+        ``optimize=True``), whose ``bind`` in turn accepts only
+        ``mode="tape"``.  ``fuse`` only concerns the tape and is ignored here.
         """
         if accumulate not in ("blas", "int"):
             raise ValueError(f"unknown accumulation mode {accumulate!r}")
-        if mode not in ("tape", "steps"):
-            raise ValueError(f"unknown execution mode {mode!r}; "
-                             f"expected 'tape' or 'steps'")
-        engine = self._bind(tuple(int(s) for s in input_shape), accumulate, mode, fuse,
-                            _BufferPool())
-        if mode == "tape":
-            PIPELINE_COUNTERS.tape_compilations += 1
-        return engine
+        if mode != "steps":
+            raise ValueError(f"a reference plan executes only on the step interpreter "
+                             f"(mode='steps'), got mode={mode!r}; the tape executes "
+                             f"optimized plans — compile with optimize=True")
+        return self._bind(tuple(int(s) for s in input_shape), accumulate, mode, fuse,
+                          _BufferPool())
 
     def _bind(self, input_shape: tuple[int, ...], accumulate: str, mode: str,
               fuse: bool, pool: _BufferPool) -> "CompiledEngine":
@@ -1037,11 +1034,12 @@ class ExecutionPlan:
         engine = CompiledEngine(plan=self, steps=bound_steps, input_shape=input_shape,
                                 output_slot=output_value.slot, output_shape=output_value.shape,
                                 output_meta=output_value.meta, slot_count=len(self.steps) + 1,
-                                pool=pool, accumulate=accumulate, mode=mode, fuse=fuse)
+                                pool=pool, accumulate=accumulate, mode=mode)
         if mode == "tape":
             # Compile (and, on an optimized plan's first bind, autotune) the
             # tape eagerly: serving never pays it mid-stream.
-            engine._ensure_tape()
+            from .program import compile_tape
+            engine.tape = compile_tape(engine, fuse=fuse)
         return engine
 
     def profile(self, input_shape: tuple[int, ...], accumulate: str = "blas",
@@ -1094,7 +1092,7 @@ class CompiledEngine:
                  input_shape: tuple[int, ...], output_slot: int,
                  output_shape: tuple[int, ...], output_meta: ValueMeta,
                  slot_count: int, pool: _BufferPool, accumulate: str,
-                 mode: str = "steps", fuse: bool = True) -> None:
+                 mode: str = "steps") -> None:
         self.plan = plan
         self.steps = steps
         self.input_shape = input_shape
@@ -1103,7 +1101,6 @@ class CompiledEngine:
         self.output_meta = output_meta
         self.accumulate = accumulate
         self.mode = mode
-        self.fuse = fuse
         self.buffers_created = pool.buffers_created
         self.buffer_bytes = pool.bytes_created
         self._pool = pool
@@ -1114,8 +1111,8 @@ class CompiledEngine:
         #: in exact float64 lanes); callers staging requests should match it.
         self.input_dtype = np.dtype(np.float64)
         self._env: list = [None] * slot_count
-        #: the compiled instruction program (lazily built on the first run
-        #: in tape mode; see :mod:`repro.engine.program`)
+        #: the compiled instruction program of a tape-mode engine, built at
+        #: bind (see :mod:`repro.engine.program`); ``None`` in steps mode
         self.tape = None
         # int32 covers every quantized output stage; a bypassed final stage
         # can carry raw accumulator codes, which need the wider dtype.
@@ -1144,21 +1141,14 @@ class CompiledEngine:
                              "(quantization codes for non-finite inputs are undefined)")
         return x
 
-    def _ensure_tape(self):
-        """Compile the instruction program on first use (tape mode only)."""
-        if self.tape is None:
-            from .program import compile_tape
-            self.tape = compile_tape(self, fuse=self.fuse)
-        return self.tape
-
     def run(self, x: np.ndarray) -> EngineOutput:
         """Execute the plan on a float input batch, returning integer codes.
 
-        In ``"tape"`` mode (the default) the compiled instruction program
-        executes: a flat list of prebound kernel calls over a preallocated
-        buffer arena, bit-exact with the ``"steps"`` interpreter.  The
-        returned codes are a fresh array; internal buffers are reused
-        across calls and must not leak to callers.
+        An optimized plan's engine executes its tape: a flat list of
+        prebound kernel calls over a preallocated buffer arena, bit-exact
+        with the reference plan's step interpreter.  The returned codes are
+        a fresh array; internal buffers are reused across calls and must not
+        leak to callers.
         """
         x = self._check_input(x)
         if self.mode == "tape":
@@ -1168,8 +1158,8 @@ class CompiledEngine:
     def _run_tape(self, images: np.ndarray) -> EngineOutput:
         """Stage ``fill <= batch_size`` checked images into the tape's input
         buffer, zero the padding rows, execute, and copy out ``fill`` rows."""
-        tape = self._ensure_tape()
         fill = images.shape[0]
+        tape = self.tape
         tape.input_buffer[:fill] = images
         tape.input_buffer[fill:] = 0.0
         tape.execute()
@@ -1198,8 +1188,8 @@ class CompiledEngine:
         kernel variant its tunable group resolved to — what the wall clock
         really pays per pass.  A steps-mode engine reports one row per plan
         step, executed in plan order on the real environment.  ``level``
-        overrides the choice (``"tape"`` | ``"steps"``); the step
-        interpreter only runs reference plans.
+        (``"tape"`` | ``"steps"``) may only name the engine's own executor:
+        the tape runs optimized plans, the step interpreter reference plans.
         """
         level = self.mode if level is None else level
         if level not in ("steps", "tape"):
@@ -1208,10 +1198,10 @@ class CompiledEngine:
             x = np.zeros(self.input_shape)
         x = self._check_input(x)
         if level == "tape":
-            if self.mode != "tape":
+            tape = self.tape
+            if tape is None:
                 raise ValueError("level='tape' requires a tape-mode engine "
-                                 "(compile with runtime mode='tape')")
-            tape = self._ensure_tape()
+                                 "(an optimized plan: compile with optimize=True)")
             np.copyto(tape.input_buffer, x)
             choices = tape.choices()
             rows = [(name, kind, seconds, choices.get(name))

@@ -1,12 +1,12 @@
-"""The tape executor: flat instruction programs compiled from bound plans.
+"""The tape executor: flat instruction programs compiled from optimized plans.
 
 The step interpreter (``CompiledEngine.run_steps``) walks a list of bound
 step objects, each dispatching through ``env``-slot indirection into a
 closure that issues several small NumPy calls.  At nano feature-map sizes
 the per-call and per-dispatch overhead rivals the arithmetic itself.
-:func:`compile_tape` lowers a bound engine into a :class:`TapeProgram` — a
-flat list of prebound zero-argument kernel calls over a preallocated buffer
-arena:
+:func:`compile_tape` lowers a bound optimized engine into a
+:class:`TapeProgram` — a flat list of prebound zero-argument kernel calls
+over a preallocated buffer arena:
 
 * every instruction's input/output buffers are resolved **at compile time**
   (no per-run environment lookups); reshape/flatten steps become zero-cost
@@ -20,13 +20,12 @@ arena:
   GEMM, each in float64 lanes and, where proven exact, float32 lanes —
   arbitrated by the one autotuner (:meth:`TapeProgram.autotune`), whose
   choices are cached on the plan and ride along in plan artifacts, so
-  loaded deployments re-profile nothing;
-* the compute steps of a *reference* plan have no emitter: each runs its
-  bound ``run(env)`` closure as one ``fallback`` instruction.
+  loaded deployments re-profile nothing.
 
-The tape is the only executor of an optimized plan.  The step interpreter
-executes the reference plan (``bind(..., mode="steps")``) — the oracle the
-parity suite checks every optimized tape against on every registry model.
+Each plan has exactly one executor.  The tape is the only executor of an
+optimized plan; the step interpreter is the only executor of the reference
+plan (``bind(..., mode="steps")``) — the oracle the parity suite checks
+every optimized tape against on every registry model.
 """
 
 from __future__ import annotations
@@ -55,6 +54,7 @@ from .optimizer import (
     tail_chain,
 )
 from .plan import (
+    PlanError,
     _ActivationOnlyStep,
     _AddStep,
     _ConcatStep,
@@ -146,17 +146,12 @@ class TapeProgram:
     """A compiled flat instruction program over a preallocated arena."""
 
     def __init__(self, engine, input_buffer: np.ndarray, output_array: np.ndarray,
-                 items: list, report: dict, env_pins: list[tuple] | None = None) -> None:
+                 items: list, report: dict) -> None:
         self._engine = engine
-        self._env = engine._env
         self.input_buffer = input_buffer
         self.output_array = output_array
         self.items = items
         self.report = report
-        #: build-time (slot, array) environment assignments — restored when
-        #: an interleaved steps-mode run repointed the slots (alias views of
-        #: the caller's input would otherwise go stale for fallbacks)
-        self._env_pins = env_pins or [(0, input_buffer)]
         self._calls: list = []
         self._flat: list[Instr] = []
         #: opt-in per-instruction instrumentation: when set to a callable
@@ -183,14 +178,6 @@ class TapeProgram:
         self.report["kernel_choices"] = self.choices()
 
     def execute(self) -> None:
-        # Fallback instructions read the environment at run time; a
-        # steps-mode run repoints the slots (including alias views of the
-        # caller's input array), so restore the build-time pins when one
-        # happened.  Slot 0 doubles as the cheap detector.
-        env = self._env
-        if env[0] is not self.input_buffer:
-            for slot, array in self._env_pins:
-                env[slot] = array
         sink = self.trace_sink
         if sink is not None:
             for instr in self._flat:
@@ -248,7 +235,6 @@ class TapeProgram:
         flat = self._flat
         totals = [0.0] * len(flat)
         for _ in range(repeats):
-            self._env[0] = self.input_buffer
             for i, instr in enumerate(flat):
                 start = time.perf_counter()
                 instr.run()
@@ -267,8 +253,6 @@ class _TapeBuild:
         self.arrays: dict[str, np.ndarray] = {}
         self.report = {
             "mode": "fused" if fuse else "unfused",
-            "native_steps": 0,
-            "fallback_steps": 0,
             "aliased_views": 0,
             "chains": 0,
             "chain_ops_recorded": 0,
@@ -600,48 +584,37 @@ _EMITTERS = {
 
 
 def compile_tape(engine, fuse: bool = True) -> TapeProgram:
-    """Lower a bound engine into a flat instruction program.
+    """Lower a bound optimized engine into a flat instruction program.
 
-    Native instructions are emitted for every step type with an emitter —
-    all of an optimized plan.  The reference plan's conv/linear steps have
-    none and run their bound ``run(env)`` closure as one ``fallback``
-    instruction, so the tape is total over the plans the interpreter
-    executes.  An optimized plan's tunable groups are resolved from its
-    cached kernel choices when present (artifact loads re-profile nothing);
-    otherwise the tape autotunes once and caches the choices on the plan.
+    Every step of an optimized plan has an emitter; a step without one (a
+    reference plan's conv/linear step) raises :class:`PlanError`.  The
+    tunable groups are resolved from the plan's cached kernel choices when
+    present (artifact loads re-profile nothing); otherwise the tape
+    autotunes once and caches the choices on the plan.
     """
     plan = engine.plan
-    env = engine._env
     ctx = _TapeBuild(fuse, engine._pool)
     input_buffer = ctx.buffer(engine.input_shape, engine.input_dtype, zero_key=("input",))
-    env[0] = input_buffer
     ctx.arrays[plan.input_name] = input_buffer
 
     items: list = []
-    env_pins: list[tuple] = [(0, input_buffer)]
     for step, bound in zip(plan.steps, engine.steps):
         emitter = _EMITTERS.get(type(step))
-        if emitter is not None:
-            ctx.report["native_steps"] += 1
-            items.extend(emitter(step, bound, ctx))
-        else:
-            ctx.report["fallback_steps"] += 1
-            items.append(Instr(step.name, step.op, "fallback", partial(bound.run, env)))
+        if emitter is None:
+            raise PlanError(f"{step.name}: no tape emitter for {type(step).__name__}; "
+                            f"the tape executes optimized plans only")
+        items.extend(emitter(step, bound, ctx))
         if step.name not in ctx.arrays:
             ctx.arrays[step.name] = bound.output
-        # Keep the environment coherent for fallback instructions (and for
-        # interleaved steps-mode runs: both paths share the buffers).
-        env[bound.output_slot] = ctx.arrays[step.name]
-        env_pins.append((bound.output_slot, ctx.arrays[step.name]))
 
     # Cached choices apply before anything materializes, so no group builds
     # (and allocates for) a default variant it would then drop.
-    choices = getattr(plan, "kernel_choices", None) or {}
+    choices = plan.kernel_choices or {}
     for item in items:
         if isinstance(item, _TunableGroup) and choices.get(item.name) in item.builders:
             item.choose(choices[item.name])
     tape = TapeProgram(engine, input_buffer, ctx.arrays[plan.output_name],
-                       items, ctx.report, env_pins)
+                       items, ctx.report)
     if tape.tunable_groups and not choices and plan.autotune:
         plan.kernel_choices = tape.autotune()
     return tape

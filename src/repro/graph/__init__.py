@@ -1,4 +1,10 @@
-"""Graffitist-style graph IR, optimization transforms and quantization modes."""
+"""Graffitist-style graph IR, optimization transforms and quantization modes.
+
+Fixed-point execution of a quantized graph is not here: :mod:`repro.engine`
+lowers the whole graph to integer steps, and its step-interpreted reference
+plan is the one integer oracle the fake-quant graph is checked against
+(Section 4.2).
+"""
 
 from .ir import GraphIR, GraphBuilder, Node, OpKind
 from .quantize import (
@@ -15,16 +21,6 @@ from .modes import (
     calibrate_activations,
     quantize_static,
     prepare_retrain,
-)
-from .export import (
-    ConvLayerSpec,
-    LinearLayerSpec,
-    export_conv_layer,
-    export_linear_layer,
-    export_graph_specs,
-    integer_conv_forward,
-    integer_linear_forward,
-    check_conv_bit_accuracy,
 )
 from . import transforms
 
@@ -44,13 +40,5 @@ __all__ = [
     "calibrate_activations",
     "quantize_static",
     "prepare_retrain",
-    "ConvLayerSpec",
-    "LinearLayerSpec",
-    "export_conv_layer",
-    "export_linear_layer",
-    "export_graph_specs",
-    "integer_conv_forward",
-    "integer_linear_forward",
-    "check_conv_bit_accuracy",
     "transforms",
 ]

@@ -23,8 +23,6 @@ from .fixed_point import (
     shift_requantize,
     fixed_point_multiplier,
     multiplier_requantize,
-    integer_matmul,
-    integer_conv2d,
     affine_matmul_with_zero_points,
     AffineCost,
     count_affine_cost,
@@ -72,8 +70,6 @@ __all__ = [
     "shift_requantize",
     "fixed_point_multiplier",
     "multiplier_requantize",
-    "integer_matmul",
-    "integer_conv2d",
     "affine_matmul_with_zero_points",
     "AffineCost",
     "count_affine_cost",

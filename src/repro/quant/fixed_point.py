@@ -1,11 +1,12 @@
-"""Bit-accurate fixed-point (integer) inference kernels.
+"""Fixed-point arithmetic helpers: quantize, requantize, Appendix A costs.
 
 The paper validates that its quantized *inference graphs* run on CPU are
-bit-accurate to the FPGA fixed-point implementation (Section 4.2).  This
-module provides the integer-arithmetic reference the fake-quantized graphs
-are checked against:
+bit-accurate to the FPGA fixed-point implementation (Section 4.2).  The one
+integer oracle that check runs against is the engine's reference plan
+(:mod:`repro.engine`, ``optimize=False, accumulate="int", mode="steps"``);
+this module holds the scalar arithmetic it and the tests share:
 
-* integer matmul / conv with int64 accumulation;
+* integer codes from real values and back;
 * re-scaling of the accumulator either by a **bit shift** (power-of-2 scale
   factors, Eq. 16) or by a **normalized fixed-point multiplier** (real scale
   factors, Eq. 15), both with round-half-to-even;
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..autograd.conv import conv_output_size, im2col
 from ..autograd.functional import round_half_to_even
 from .config import QuantConfig
 
@@ -31,8 +31,6 @@ __all__ = [
     "shift_requantize",
     "fixed_point_multiplier",
     "multiplier_requantize",
-    "integer_matmul",
-    "integer_conv2d",
     "affine_matmul_with_zero_points",
     "AffineCost",
     "count_affine_cost",
@@ -119,42 +117,6 @@ def multiplier_requantize(accumulator: np.ndarray, real_multiplier: float,
     product = accumulator.astype(np.float64) * m0
     scaled = product / (2.0 ** shift)
     return np.clip(round_half_to_even(scaled), config.qmin, config.qmax).astype(np.int64)
-
-
-def integer_matmul(a_codes: np.ndarray, b_codes: np.ndarray) -> np.ndarray:
-    """Integer matrix product with int64 accumulation."""
-    return np.asarray(a_codes, dtype=np.int64) @ np.asarray(b_codes, dtype=np.int64)
-
-
-def integer_conv2d(x_codes: np.ndarray, w_codes: np.ndarray, bias_codes: np.ndarray | None = None,
-                   stride=1, padding=0, groups: int = 1) -> np.ndarray:
-    """Integer convolution with int64 accumulation (NCHW layout).
-
-    ``bias_codes`` must already be expressed at the accumulator scale
-    (``s_in * s_w``), which the inference-graph exporter guarantees by the
-    scale-merging rules of Section 4.3.
-    """
-    x_codes = np.asarray(x_codes, dtype=np.int64)
-    w_codes = np.asarray(w_codes, dtype=np.int64)
-    stride = (stride, stride) if isinstance(stride, int) else tuple(stride)
-    padding = (padding, padding) if isinstance(padding, int) else tuple(padding)
-    n, c_in, h, w = x_codes.shape
-    c_out, c_in_per_group, kh, kw = w_codes.shape
-    oh = conv_output_size(h, kh, stride[0], padding[0])
-    ow = conv_output_size(w, kw, stride[1], padding[1])
-
-    cols = im2col(x_codes, (kh, kw), stride, padding)  # dtype-agnostic: stays int64
-    cols_grouped = cols.reshape(n, groups, c_in_per_group, kh, kw, oh, ow)
-    cols_mat = cols_grouped.transpose(1, 0, 5, 6, 2, 3, 4).reshape(
-        groups, n * oh * ow, c_in_per_group * kh * kw
-    )
-    w_mat = w_codes.reshape(groups, c_out // groups, c_in_per_group * kh * kw)
-    out_mat = np.einsum("gnk,gok->gno", cols_mat, w_mat, optimize=True)
-    out = out_mat.reshape(groups, n, oh, ow, c_out // groups)
-    out = out.transpose(1, 0, 4, 2, 3).reshape(n, c_out, oh, ow)
-    if bias_codes is not None:
-        out = out + np.asarray(bias_codes, dtype=np.int64).reshape(1, c_out, 1, 1)
-    return out
 
 
 # ---------------------------------------------------------------------- #

@@ -12,7 +12,7 @@ Two implementations are provided, mirroring Section 4.4 of the paper:
   backpropagated more than once.
 * :func:`tqt_quantize_unfused` — the **unfused** reference, composed of
   primitive autograd ops with straight-through ``ceil``/``round``
-  (Figure 4's ``tf.stop_gradient`` construction).  Its tape holds ten nodes
+  (Figure 4's ``tf.stop_gradient`` construction).  Its tape holds eleven nodes
   and a full-size float64 array for most of them: the scale, the scaled
   input, the rounded and clipped values and the clip mask.  It agrees with
   the fused kernel to ``rtol 1e-12`` (exactly, for the forward values of a
@@ -43,6 +43,10 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
+#: smallest normal float64 (2^-1022): the floor of every scale factor.  A
+#: threshold so small that ``2^ceil(log2 t) / levels`` underflows would
+#: otherwise give ``s = 0`` and ``0 / 0 = NaN`` codes.
+_MIN_SCALE = 2.0 ** -1022
 
 
 def compute_scale(log2_t: np.ndarray, config: QuantConfig) -> np.ndarray:
@@ -50,11 +54,13 @@ def compute_scale(log2_t: np.ndarray, config: QuantConfig) -> np.ndarray:
 
     For power-of-2 scaling the raw threshold is first rounded up to the next
     power of two (``2^ceil(log2 t)``), so the clipping range is biased toward
-    covering more of the distribution (Section 3.2, footnote 3).
+    covering more of the distribution (Section 3.2, footnote 3).  ``s`` never
+    falls below the smallest normal float64; above that floor (every
+    ``log2 t >= -1000`` at up to 22 bits) the floor changes nothing.
     """
     log2_t = np.asarray(log2_t, dtype=np.float64)
     effective = np.ceil(log2_t) if config.power_of_2 else log2_t
-    return 2.0 ** effective / config.levels
+    return np.maximum(2.0 ** effective / config.levels, _MIN_SCALE)
 
 
 def tqt_quantize(x: Tensor, log2_t: Tensor, config: QuantConfig,
@@ -129,7 +135,7 @@ def tqt_quantize_unfused(x: Tensor, log2_t: Tensor, config: QuantConfig) -> Tens
     # s = 2^effective / levels, expressed through exp/log so autograd tracks it.
     from ..autograd import exp  # local import to avoid cycle at module load
 
-    s = exp(effective * _LN2) * (1.0 / config.levels)
+    s = clip_op(exp(effective * _LN2) * (1.0 / config.levels), _MIN_SCALE, np.inf)
     scaled = x / s
     rounded = round_ste(scaled)
     clipped = clip_op(rounded, n, p)

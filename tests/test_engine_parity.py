@@ -16,8 +16,15 @@ from repro.engine import (
     lower_graph,
 )
 from repro.engine.plan import _BufferPool
+from repro.graph import OpKind
 from repro.models import MODEL_REGISTRY, build_model
-from repro.quant import QuantConfig, requantize_codes, shift_requantize
+from repro.quant import (
+    FakeQuantizer,
+    QuantConfig,
+    TQTQuantizer,
+    requantize_codes,
+    shift_requantize,
+)
 
 IMAGE_SIZE = 8  # keeps every global-average-pool window a power of two
 BATCH = 4
@@ -146,8 +153,8 @@ def test_buckets_only_for_batched_optimized_tapes(deployed):
     assert oracle.engine._buckets == []
     shape = compiled.engine.input_shape
     assert compiled.plan.bind((1, *shape[1:]))._buckets == []
-    unoptimized = _compile("lenet_nano", optimize=False)
-    assert unoptimized.engine.mode == "tape" and unoptimized.engine._buckets == []
+    unoptimized = _compile("lenet_nano", optimize=False, mode="steps")
+    assert unoptimized.engine.mode == "steps" and unoptimized.engine._buckets == []
     # A batch that is not a power of two: fills above the largest bucket
     # run on the engine itself.
     engine = compiled.plan.bind((6, *shape[1:]))
@@ -167,7 +174,7 @@ def test_buckets_only_for_batched_optimized_tapes(deployed):
 def test_buffer_reuse_does_not_alias_across_batches():
     # optimize=False: the optimizer's scratch buffers (counted by the same
     # pool) would mask the linear-scan output-buffer reuse asserted here.
-    compiled = _compile("lenet_nano", optimize=False)
+    compiled = _compile("lenet_nano", optimize=False, mode="steps")
     engine = compiled.engine
     assert engine.buffers_created < len(engine.steps) + 1, \
         "the linear-scan allocator should reuse at least one buffer"
@@ -197,6 +204,20 @@ def test_engine_rejects_wrong_input_shape():
 def test_lowering_requires_quantized_graph():
     graph = build_model("lenet_nano", num_classes=4, seed=0)
     with pytest.raises(PlanError):
+        lower_graph(graph)
+
+
+@pytest.mark.parametrize("quantizer, message", [
+    (lambda c: FakeQuantizer(QuantConfig(bits=8, power_of_2=False)), "TQT quantizers"),
+    (lambda c: TQTQuantizer(QuantConfig(bits=8, power_of_2=False)), "power-of-2"),
+    (lambda c: TQTQuantizer(QuantConfig(bits=8), channel_count=c), "per-channel"),
+], ids=["non-tqt", "non-power-of-2", "per-channel"])
+def test_lowering_rejects_quantizers_the_engine_cannot_run(quantizer, message):
+    graph = _compile("lenet_nano", optimize=False, mode="steps").graph
+    conv = next(node.module for node in graph.topological_order()
+                if node.op == OpKind.QUANT_CONV)
+    conv.weight_quantizer = quantizer(conv.conv.out_channels)
+    with pytest.raises(PlanError, match=message):
         lower_graph(graph)
 
 

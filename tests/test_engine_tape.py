@@ -17,10 +17,11 @@ from repro.deploy import CompileConfig, QuantConfig, RuntimeConfig
 from repro.engine import (
     BatchedRunner,
     ElementwiseChain,
+    PlanError,
     check_engine_parity,
     pack_partial_fills,
 )
-from repro.engine.program import TapeProgram
+from repro.engine.program import TapeProgram, compile_tape
 from repro.models import MODEL_REGISTRY
 from repro.serving import SCENARIOS, FleetServer, generate_requests
 from repro.serving.workload import fleet_input_shapes
@@ -64,10 +65,7 @@ def test_default_deployment_matches_oracle_on_registry_model(model_name):
     engine = deployment.engine
     assert engine.mode == "tape"
     assert isinstance(engine.tape, TapeProgram)
-    # Every step of every registry model has a native emitter.
-    assert engine.tape.report["fallback_steps"] == 0
-    kinds = {instr.kind for instr in engine.tape._flat}
-    assert "fallback" not in kinds and not any(k.startswith("legacy") for k in kinds)
+    assert not any(instr.kind.startswith("legacy") for instr in engine.tape._flat)
     # Twice in a row: cross-pass state (shared scratch, zero borders, the
     # stacked buffers' zero fringes) must not corrupt later passes.
     for seed in (0, 9):
@@ -91,18 +89,6 @@ def test_fused_and_unfused_tapes_are_bit_exact(mobilenet, mobilenet_oracle):
     # Fusion must not *add* work: the fused tape emits no more chain ops.
     assert (fused.tape.report["chain_ops_emitted"]
             <= unfused.tape.report["chain_ops_emitted"])
-
-
-def test_interleaved_steps_and_tape_runs_stay_bit_exact():
-    """run_steps repoints env slots; the next tape run must restore them."""
-    deployment = deploy.compile("lenet_nano", SMALL.with_overrides(optimize=False))
-    engine = deployment.engine   # unoptimized: compute steps run as fallbacks
-    x1, x2 = _batches(2, seed=21)
-    reference = deployment.plan.bind(engine.input_shape, mode="steps").run(x2)
-    engine.run_steps(x1)
-    np.testing.assert_array_equal(engine.run(x2).codes, reference.codes)
-    engine.run(x1)
-    np.testing.assert_array_equal(engine.run_steps(x2).codes, reference.codes)
 
 
 def test_steps_mode_engine_compiles_no_tape(mobilenet_oracle):
@@ -157,21 +143,15 @@ def test_cached_choices_build_each_group_once(mobilenet, mobilenet_oracle, monke
                                       mobilenet_oracle.run(batch).codes[:1])
 
 
-def test_unoptimized_plan_tape_parity():
-    deployment = deploy.compile("lenet_nano", SMALL.with_overrides(optimize=False))
-    engine = deployment.engine
-    batch = _batches(1)[0]
-    np.testing.assert_array_equal(engine.run(batch).codes,
-                                  engine.run_steps(batch).codes)
-
-
-def test_int_backend_tape_parity():
-    deployment = deploy.compile("lenet_nano", SMALL.with_overrides(optimize=False,
-                                                                   accumulate="int"))
-    engine = deployment.engine
-    batch = _batches(1)[0]
-    np.testing.assert_array_equal(engine.run(batch).codes,
-                                  engine.run_steps(batch).codes)
+def test_reference_plan_refuses_the_tape(mobilenet_oracle):
+    """One executor per plan: the reference plan runs only on the step
+    interpreter, and the error names the fix."""
+    with pytest.raises(ValueError, match="optimize=True"):
+        mobilenet_oracle.plan.bind(mobilenet_oracle.engine.input_shape, mode="tape")
+    with pytest.raises(ValueError, match="optimize=True"):
+        deploy.compile("lenet_nano", SMALL.with_overrides(optimize=False, mode="tape"))
+    with pytest.raises(PlanError, match="optimize"):
+        compile_tape(mobilenet_oracle.engine)
 
 
 # ---------------------------------------------------------------------- #

@@ -2,21 +2,20 @@
 
 These tests exercise the complete pipeline the paper describes — pre-train in
 floating point, optimize the graph, calibrate, quantize statically, retrain
-with TQT — and check the paper's qualitative claims at miniature scale.
+with TQT, deploy on the integer engine — and check the paper's qualitative
+claims at miniature scale.
 """
 
+import numpy as np
 import pytest
 
+from repro import deploy
 from repro.data import DataLoader, Preprocessor, SyntheticImageNet, sample_calibration_batches
-from repro.graph import (
-    check_conv_bit_accuracy,
-    prepare_retrain,
-    quantize_static,
-)
-from repro.graph.ir import OpKind
+from repro.engine import check_engine_parity
+from repro.graph import prepare_retrain, quantize_static
 from repro.graph.transforms import run_default_optimizations
 from repro.models import build_model
-from repro.quant import QuantizedConv2d
+from repro.quant import INT4_PRECISION
 from repro.training import Evaluator, ExperimentConfig, ExperimentRunner, PaperHyperparameters, Trainer
 
 
@@ -45,6 +44,22 @@ def pipeline():
         "calibration": calibration,
         "evaluator": Evaluator(val_loader),
     }
+
+
+def _assert_deploys_bit_exact(graph, rng) -> deploy.Deployment:
+    """Section 4.2 on a whole graph: the optimized tape is bit-exact with the
+    fake-quant simulation and with the int64 steps oracle lowered from the
+    same graph."""
+    deployment = deploy.compile(graph, image_size=10, batch_size=4)
+    oracle = deploy.compile(graph, image_size=10, batch_size=4, optimize=False,
+                            accumulate="int", mode="steps")
+    batches = [rng.standard_normal((4, 3, 10, 10)) for _ in range(2)]
+    for deployed in (deployment, oracle):
+        report = check_engine_parity(graph, deployed.engine, batches)
+        assert report.bit_exact, report
+    for batch in batches:
+        np.testing.assert_array_equal(deployment.run(batch).codes, oracle.run(batch).codes)
+    return deployment
 
 
 class TestEndToEndPipeline:
@@ -90,22 +105,31 @@ class TestEndToEndPipeline:
 
     def test_quantized_conv_layers_are_bit_accurate_to_integer_execution(self, pipeline, rng):
         """Section 4.2: the inference graph is bit-accurate to the fixed-point
-        implementation.  Checked on the first quantized conv layer (no bias
-        re-quantization involved after BN-fold-free stem)."""
+        implementation — the whole static-INT8 graph, conv biases and
+        16-bit accumulator quantizers included."""
         model = quantize_static(pipeline["graph"], pipeline["calibration"])
-        graph = model.graph
-        # find the primary-input quantizer and the first quantized conv
-        input_node = graph.nodes["input__quant"]
-        first_conv = next(node for node in graph.topological_order()
-                          if node.op == OpKind.QUANT_CONV)
-        layer: QuantizedConv2d = first_conv.module
-        # rebuild an equivalent bias-free layer for the arithmetic check
-        layer.conv.bias = None
-        layer.bias_quantizer = None
-        layer.internal_quantizer = None
-        x = rng.standard_normal((2, 3, 10, 10))
-        report = check_conv_bit_accuracy(layer, x, input_node.module.quantizer.impl)
-        assert report["mismatches"] == 0
+        steps = _assert_deploys_bit_exact(model.graph, rng).plan.manifest()["steps"]
+        assert any(step.get("has_bias") for step in steps)
+        assert any("acc→q" in step["detail"] for step in steps)
+
+    @pytest.mark.parametrize("mode, precision", [("wt", None), ("wt,th", None),
+                                                 ("wt,th", INT4_PRECISION)],
+                             ids=["wt", "wt,th", "wt,th-int4"])
+    def test_retrained_graph_deploys_bit_exact(self, pipeline, rng, mode, precision):
+        """Retrain, then deploy: the retrained graph — with thresholds whose
+        power-of-2 scale moved — stays bit-exact on the integer engine."""
+        model = prepare_retrain(pipeline["graph"], pipeline["calibration"], mode=mode,
+                                precision=precision)
+        hp = PaperHyperparameters(batch_size=16, weight_lr=1e-3, threshold_lr=0.2,
+                                  max_epochs=1, freeze_thresholds=False)
+        trainer = Trainer(model.graph, pipeline["train_loader"], pipeline["val_loader"],
+                          hparams=hp)
+        result = trainer.train(1)
+        if mode == "wt,th":
+            assert any(result.threshold_deviations().values()), \
+                "no ceil(log2 t) moved: the deploy check would not cover a new scale"
+        model.graph.eval()
+        _assert_deploys_bit_exact(model.graph, rng)
 
 
 class TestExperimentRunner:

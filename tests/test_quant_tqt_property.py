@@ -1,7 +1,7 @@
 """Property-based tests (hypothesis) on TQT quantizer invariants."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.autograd import Tensor
@@ -111,6 +111,9 @@ def test_larger_threshold_never_clips_more(values, log2_t, bits):
 
 @settings(max_examples=40, deadline=None)
 @given(values_strategy, bits_strategy)
+# A subnormal max|x| once underflowed the scale to 0 and returned NaN codes.
+@example(np.array([5e-324]), 3)
+@example(np.array([5e-324, 0.0]), 3)
 def test_max_calibrated_threshold_clipping_error_bounded(values, bits):
     """With the threshold at max|x| (rounded up to a power of 2), the only
     possible clipping is the asymmetric top code (2^(b-1) saturating to

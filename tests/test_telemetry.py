@@ -202,7 +202,7 @@ def test_tape_sink_emits_per_instruction_spans():
         "lenet_nano", COMPILE_CONFIG.with_overrides(image_size=IMAGE_SIZE,
                                                     batch_size=2))
     engine = deployment.engine
-    tape = engine._ensure_tape()
+    tape = engine.tape
     seen: list[tuple] = []
     detach = attach_tape_sink(
         tape, lambda name, args, t0, t1: seen.append((name, args, t0, t1)))
