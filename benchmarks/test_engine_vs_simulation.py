@@ -23,7 +23,7 @@ import numpy as np
 from repro import deploy
 from repro.analysis import format_table
 from repro.autograd import Tensor, no_grad
-from repro.engine import BatchedRunner, check_engine_parity
+from repro.engine import check_engine_parity
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_engine.json"
 
@@ -31,7 +31,6 @@ MODEL = "mobilenet_v1_nano"
 IMAGE_SIZE = 16
 BATCH_SIZE = 8
 BATCHES = 20
-REQUESTS = 128
 # 3x is the local acceptance bar (~4.5x observed); shared CI runners can set
 # ENGINE_BENCH_MIN_SPEEDUP lower to tolerate timing noise without losing the
 # bit-exactness gate.
@@ -77,11 +76,6 @@ def test_engine_vs_simulation(benchmark, report_writer):
     speedup_autograd = engine_rate / autograd_rate
     speedup_nograd = engine_rate / nograd_rate
 
-    # Serving statistics through the batched runner.
-    runner = BatchedRunner(engine)
-    requests = rng.standard_normal((REQUESTS, 3, IMAGE_SIZE, IMAGE_SIZE))
-    _, stats = runner.run(requests)
-
     report_writer("engine_vs_simulation", format_table(
         ["execution path", "img/s", "speedup"],
         [
@@ -107,7 +101,6 @@ def test_engine_vs_simulation(benchmark, report_writer):
         "engine_img_per_s": engine_rate,
         "speedup_vs_autograd": speedup_autograd,
         "speedup_vs_nograd": speedup_nograd,
-        "serving": stats.to_dict(),
         "plan": {
             "steps": len(compiled.plan.steps),
             "weight_bytes": compiled.plan.manifest()["weight_bytes"],

@@ -19,7 +19,8 @@ deployment through the unified API:
    (prepacked weights + autotuned kernel choices, content-addressed) and
    reload it with *zero* re-lowering/re-optimization/re-profiling,
    bit-exact with the fresh compile;
-6. serve a request stream through ``deployment.runner()``.
+6. serve a request stream through ``deployment.serve(ServeConfig(
+   max_wait_s=None))`` — fixed full-batch coalescing on the virtual clock.
 
 Run with:  PYTHONPATH=src python examples/fixed_point_deployment.py
 (or just ``python examples/...`` after ``pip install -e .``)
@@ -36,6 +37,7 @@ import numpy as np
 from repro import deploy
 from repro.analysis import format_table
 from repro.engine import PIPELINE_COUNTERS, check_engine_parity, check_plan_parity, lower_graph
+from repro.serving import Request
 
 
 def main() -> None:
@@ -126,17 +128,20 @@ def main() -> None:
               f"bit-exact with the fresh compile: {identical}")
 
     # ------------------------------------------------------------------ #
-    # Serving-style batched execution.
+    # Serve a request stream: full batches on the virtual clock.
     # ------------------------------------------------------------------ #
-    runner = deployment.runner()
-    requests = rng.standard_normal((100, 3, 16, 16))
-    results, stats = runner.run(requests)
-    print(f"\nServed {stats.requests} requests in {stats.batches} batches of "
-          f"{stats.batch_size} ({stats.padded_requests} padded): "
-          f"{stats.throughput_rps:.0f} req/s, "
-          f"p50 {stats.latency_p50_ms:.2f} ms, p99 {stats.latency_p99_ms:.2f} ms, "
-          f"max {stats.latency_max_ms:.2f} ms")
-    top1 = np.argmax(results[0].codes)
+    images = rng.standard_normal((100, 3, 16, 16))
+    requests = [Request(i, deployment.model, 0.0, image)
+                for i, image in enumerate(images)]
+    report = deployment.serve(deploy.ServeConfig(max_wait_s=None)).serve(requests)
+    stats = report.metrics["per_model"][deployment.model]
+    latency = report.fleet["latency_ms"]
+    print(f"\nServed {report.completed} requests in {stats['batches']} batches of "
+          f"{deployment.batch_size} ({stats['padded_slots']} padded): "
+          f"{report.fleet['goodput_rps']:.0f} req/s, "
+          f"p50 {latency['p50']:.2f} ms, p99 {latency['p99']:.2f} ms, "
+          f"max {latency['max']:.2f} ms")
+    top1 = np.argmax(report.outcomes[0].codes)
     print(f"First request predicted class {top1} "
           f"(codes are int8 logits at scale 2^-{deployment.output_meta.fraction}).")
 

@@ -9,7 +9,7 @@ persistable integer deployment::
                          deploy.CompileConfig(image_size=8,
                                               runtime=deploy.RuntimeConfig(batch_size=4)))
     out = dep.run(batch)                    # direct engine execution
-    results, stats = dep.runner().run(requests)
+    report = dep.serve(deploy.ServeConfig(max_wait_s=None)).serve(requests)
     server = dep.serve(deploy.ServeConfig(fleet=("lenet_nano",)))
 
     dep.save("mobilenet.rpa")               # persistent plan artifact

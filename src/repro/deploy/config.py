@@ -1,9 +1,8 @@
 """Typed configuration objects for the deployment API.
 
 One compile call used to mean threading a dozen loose kwargs through
-``optimize_plan`` → ``ExecutionPlan.bind`` → ``BatchedRunner`` /
-``FleetServer``.  These dataclasses replace that kwarg sprawl with four
-nested, validated configs:
+``optimize_plan`` → ``ExecutionPlan.bind`` → ``FleetServer``.  These
+dataclasses replace that kwarg sprawl with four nested, validated configs:
 
 * :class:`QuantConfig` — how the model is statically quantized (calibration
   budget, per-layer precision, seed).  Distinct from

@@ -3,13 +3,12 @@
 :func:`compile` goes from a registry name (or an already-quantized graph) to
 a :class:`Deployment` in one step, driven by a single
 :class:`~repro.deploy.CompileConfig` instead of kwargs scattered across
-``optimize_plan`` / ``ExecutionPlan.bind`` / ``BatchedRunner`` /
-``FleetServer``.  The deployment object then exposes the whole serving
-surface:
+``optimize_plan`` / ``ExecutionPlan.bind`` / ``FleetServer``.  The deployment
+object then exposes the whole serving surface:
 
 * :meth:`Deployment.run` / :meth:`Deployment.run_partial` — direct engine
   execution;
-* :meth:`Deployment.runner` — a batched serving runner;
+* :meth:`Deployment.runner` — megabatch coalescing of partial fills;
 * :meth:`Deployment.serve` — a :class:`~repro.serving.FleetServer` with this
   deployment preloaded into the plan cache;
 * :meth:`Deployment.profile` — the timing breakdown of the executor the
@@ -232,7 +231,7 @@ class Deployment:
         return self.engine.profile(x=x, repeats=repeats, level=level)
 
     def runner(self) -> BatchedRunner:
-        """A batched serving runner over this deployment's engine."""
+        """Megabatch coalescing of partial fills over this deployment's engine."""
         return BatchedRunner(self.engine)
 
     def serve(self, serve: ServeConfig | None = None, *, compute_time_fn=None,

@@ -8,7 +8,7 @@ accumulation, is the reference; the optimizer pass pipeline (epilogue
 fusion, im2col elimination, weight prepacking) rewrites it into a plan that
 executes only as a compiled **tape** — a flat instruction program with
 fused elementwise chains whose kernel variants one autotuner arbitrates.
-Around them: a batched serving runner with megabatch coalescing, a profiler
+Around them: megabatch coalescing of partial fills, a profiler
 that reports the executor an engine actually runs, and a bit-exactness
 parity checker against the float fake-quant simulation.
 """
@@ -38,7 +38,7 @@ from .optimizer import (
     optimize_plan,
 )
 from .program import TapeProgram, compile_tape
-from .runner import BatchedRunner, RequestResult, RunnerStats, pack_partial_fills
+from .runner import BatchedRunner, pack_partial_fills
 from .parity import (
     ParityReport,
     check_engine_parity,
@@ -69,8 +69,6 @@ __all__ = [
     "TapeProgram",
     "compile_tape",
     "BatchedRunner",
-    "RequestResult",
-    "RunnerStats",
     "pack_partial_fills",
     "ParityReport",
     "check_engine_parity",

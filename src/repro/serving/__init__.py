@@ -11,8 +11,9 @@ models' batches), SLO-aware admission control backed by an EWMA cost model,
 workload generators (Poisson, bursty, diurnal, heavy-tailed) with open- and
 closed-loop pacers, priority-class admission (lowest tier preempted first),
 a multiprocess fleet backend (``backend="process"`` — per-process tape
-engines behind shared-memory arenas) and first-class serving metrics — all
-on the same virtual clock as ``repro.engine.BatchedRunner``.  Request-span
+engines behind shared-memory arenas) and first-class serving metrics.  The
+full-batch policy (``BatchingPolicy.full_batch``) on the virtual clock is
+plain fixed-batch coalescing of a request stream.  Request-span
 tracing rides along: serve with ``telemetry=TelemetryConfig(sample_rate=...)``
 (re-exported from :mod:`repro.telemetry`) and the report carries a
 Chrome-trace-exportable :class:`~repro.telemetry.Trace`.

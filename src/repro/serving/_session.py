@@ -3,17 +3,16 @@
 What happens to a request — breaker shed, admission, preemption, queueing,
 batch fault, retry-or-fail, completion — and every metric, outcome and
 request-lane span those steps emit is decided here, once.  The two drivers
-in :mod:`repro.serving.server` differ only in their clock and in how they
-find the next batch to run; each reports what happened through the four
+in :mod:`repro.serving.server` report what happened through the four
 transitions of :class:`_ServeSession` (``admit`` / ``fail_batch`` /
-``complete_batch`` / ``report``), so a virtual prediction and a wall-clock
-measurement of the same stream share their policy by construction.
+``complete_batch`` / ``report``).  They share this lifecycle, not the
+dispatch rule: which batch launches when is each driver's own (see the
+module docstring of :mod:`repro.serving.server`).
 
-Every transition takes its timestamps from the driver, on two clocks: a
-*metrics* stamp (latency, time-series; the virtual clock, or wall seconds
-since the serve started) and *trace* stamps (spans and the circuit breaker;
-the virtual clock again, or wall seconds since the run was set up).  The
-virtual driver passes the same value for both.
+Every transition takes one stamp per instant from the driver, on one
+clock: the virtual clock, or wall seconds since the serve started.
+Latencies, outcomes, the metrics timeline, spans and the circuit breaker
+all read that stamp.
 """
 
 from __future__ import annotations
@@ -157,7 +156,7 @@ class _ServeSession:
         self.metrics = MetricsCollector(server.fleet)
         self.outcomes: dict[int, ServedRequest] = {}
         #: sampled requests still in flight: request_id -> admission stamp
-        #: on the trace clock (where the request's queue span starts)
+        #: (where the request's queue span starts)
         self.traced: dict[int, float] = {}
         #: request_id -> wall offset the pacer released it at; stays empty
         #: on the virtual clock and under flood pacing
@@ -188,9 +187,9 @@ class _ServeSession:
         return req.arrival_s
 
     def _shed(self, req: Request, reason: str, now: float,
-              span_start: float | None, span_end: float) -> None:
-        """Terminal ``shed`` outcome; ``span_start`` is ``None`` for an
-        unsampled request."""
+              span_start: float | None) -> None:
+        """Terminal ``shed`` outcome at ``now``; ``span_start`` is ``None``
+        for an unsampled request."""
         self.metrics.record_shed(req.model, reason, now=now)
         self.outcomes[req.request_id] = ServedRequest(
             request_id=req.request_id, model=req.model, status="shed",
@@ -200,41 +199,41 @@ class _ServeSession:
             return
         lane = f"req-{req.request_id}"
         if reason == "preempted":   # the only shed that spent time queued
-            self.tracer.record("queue", "queue", span_start, span_end,
+            self.tracer.record("queue", "queue", span_start, now,
                                lane=lane, trace_id=req.request_id,
                                args={"outcome": "preempted"})
-        self.tracer.record("request", "request", span_start, span_end,
+        self.tracer.record("request", "request", span_start, now,
                            lane=lane, trace_id=req.request_id,
                            args={"status": "shed", "reason": reason,
                                  "model": req.model})
 
     # ------------------------------------------------------------------ #
-    def admit(self, req: Request, now: float, earliest_start: float,
-              metrics_t: float, span_t: float) -> list[int]:
-        """One arrival: breaker gate, admission decision, preemption, enqueue.
+    def admit(self, req: Request, now: float,
+              earliest_start: float) -> list[int]:
+        """One arrival at ``now``: breaker gate, admission decision,
+        preemption, enqueue.
 
-        ``now`` / ``earliest_start`` are the admission controller's inputs
-        (the decision instant and the earliest a worker could start the
-        request).  Returns the ids that became terminal — the shed arrival
-        or the victims it preempted — so a paced driver can signal its
-        pacer after dropping the scheduler lock.
+        ``earliest_start`` is the earliest a worker could start the request
+        (the admission controller prices the wait until then).  Returns the
+        ids that became terminal — the shed arrival or the victims it
+        preempted — so a paced driver can signal its pacer after dropping
+        the scheduler lock.
         """
         tracer = self.tracer
         done: list[int] = []
         self.metrics.record_arrival(req.model, req.arrival_s)
         sampled = tracer.enabled and tracer.sampled(req.request_id)
-        if self.breaker is not None and not self.breaker.allow(req.model, span_t):
+        if self.breaker is not None and not self.breaker.allow(req.model, now):
             # Open breaker: shed fast instead of queueing into a model
             # that keeps failing.
-            self._shed(req, "breaker", metrics_t,
-                       span_t if sampled else None, span_t)
+            self._shed(req, "breaker", now, now if sampled else None)
             done.append(req.request_id)
         else:
             decision = self.admission.consider(req, now, earliest_start,
                                                self.queues, self.policy)
             if sampled:
                 tracer.record(
-                    "admission", "admission", span_t, span_t,
+                    "admission", "admission", now, now,
                     lane=f"req-{req.request_id}", trace_id=req.request_id,
                     args={"admitted": decision.admitted,
                           "reason": decision.reason,
@@ -244,27 +243,26 @@ class _ServeSession:
             if decision.admitted:
                 for victim in decision.evicted:
                     self.queues[victim.model].remove(victim)
-                    self._shed(victim, "preempted", metrics_t,
-                               self.traced.pop(victim.request_id, None), span_t)
+                    self._shed(victim, "preempted", now,
+                               self.traced.pop(victim.request_id, None))
                     done.append(victim.request_id)
                 self.queues[req.model].push(req)
                 if sampled:
-                    self.traced[req.request_id] = span_t
+                    self.traced[req.request_id] = now
             else:
-                self._shed(req, decision.reason, metrics_t,
-                           span_t if sampled else None, span_t)
+                self._shed(req, decision.reason, now, now if sampled else None)
                 done.append(req.request_id)
-        self.metrics.record_queue_depth(metrics_t, self.depth())
+        self.metrics.record_queue_depth(now, self.depth())
         return done
 
     def fail_batch(self, worker: int, model: str, batch: list[Request],
-                   kind: str, now: float, span_start: float,
-                   span_end: float) -> tuple[int, float, list[int]]:
-        """A launched batch faulted with ``kind`` on ``worker``.
+                   kind: str, start: float,
+                   end: float) -> tuple[int, float, list[int]]:
+        """A batch launched at ``start`` faulted with ``kind`` on ``worker``;
+        the failure was seen at ``end``.
 
         Every request spends one attempt; those within the retry budget
-        requeue, the rest terminate ``failed``.  ``span_start`` / ``span_end``
-        bracket the failed launch on the trace clock.  Returns ``(streak,
+        requeue, the rest terminate ``failed``.  Returns ``(streak,
         backoff_s, failed_ids)``: the model's consecutive-failure count, how
         long the driver should hold the model back on its own clock, and
         the requests that became terminal.
@@ -274,56 +272,56 @@ class _ServeSession:
         self.fail_streak[model] += 1
         streak = self.fail_streak[model]
         if self.breaker is not None:
-            self.breaker.record(model, False, span_end)
+            self.breaker.record(model, False, end)
         failed: list[int] = []
         for req in batch:
             n_attempts = self.attempts.get(req.request_id, 0) + 1
             self.attempts[req.request_id] = n_attempts
             if retry is not None and not retry.exhausted(
-                    n_attempts, now - self._origin(req)):
+                    n_attempts, end - self._origin(req)):
                 self.queues[model].push(req)
                 self.metrics.record_retry(model)
                 self.retried_ids.add(req.request_id)
                 continue
-            self.metrics.record_failed(model, kind, now=now)
+            self.metrics.record_failed(model, kind, now=end)
             self.outcomes[req.request_id] = ServedRequest(
                 request_id=req.request_id, model=model, status="failed",
                 failure_reason=kind, retries=n_attempts - 1,
                 priority=req.priority, worker_index=worker,
                 release_s=self.release.get(req.request_id))
             failed.append(req.request_id)
-            start = self.traced.pop(req.request_id, None)
-            if start is not None:
+            admitted = self.traced.pop(req.request_id, None)
+            if admitted is not None:
                 lane = f"req-{req.request_id}"
-                tracer.record("queue", "queue", start, span_start, lane=lane,
+                tracer.record("queue", "queue", admitted, start, lane=lane,
                               trace_id=req.request_id, args={"model": model})
-                tracer.record("request", "request", start, span_end, lane=lane,
+                tracer.record("request", "request", admitted, end, lane=lane,
                               trace_id=req.request_id,
                               args={"status": "failed", "reason": kind,
                                     "model": model})
-        self.metrics.record_queue_depth(now, self.depth())
+        self.metrics.record_queue_depth(end, self.depth())
         self.batch_index += 1
         backoff = retry.attempt_backoff_s(streak) if retry is not None else 0.0
         return streak, backoff, failed
 
     def complete_batch(self, worker: int, model: str, batch: list[Request],
-                       codes: np.ndarray, compute_s: float, now: float,
-                       span_start: float, span_end: float) -> None:
-        """One policy batch finished on ``worker`` with per-request ``codes``.
+                       codes: np.ndarray, compute_s: float, start: float,
+                       end: float) -> None:
+        """One policy batch launched at ``start`` finished at ``end`` on
+        ``worker`` with per-request ``codes``.
 
         ``compute_s`` is the engine time the driver attributes to this
-        batch; ``span_start`` / ``span_end`` bracket its execution on the
-        trace clock.
+        batch.
         """
         tracer = self.tracer
         self.fail_streak[model] = 0
         if self.breaker is not None:
-            self.breaker.record(model, True, span_end)
+            self.breaker.record(model, True, end)
         batch_index, fill = self.batch_index, len(batch)
         for offset, req in enumerate(batch):
-            latency = now - self._origin(req)
+            latency = end - self._origin(req)
             self.metrics.record_completion(model, latency, req.deadline_s,
-                                           now=now)
+                                           now=end)
             self.outcomes[req.request_id] = ServedRequest(
                 request_id=req.request_id, model=model, status="completed",
                 latency_s=latency, codes=codes[offset].copy(),
@@ -331,26 +329,26 @@ class _ServeSession:
                 priority=req.priority,
                 release_s=self.release.get(req.request_id),
                 retries=self.attempts.get(req.request_id, 0))
-            start = self.traced.pop(req.request_id, None)
-            if start is not None:
+            admitted = self.traced.pop(req.request_id, None)
+            if admitted is not None:
                 lane = f"req-{req.request_id}"
-                tracer.record("queue", "queue", start, span_start, lane=lane,
+                tracer.record("queue", "queue", admitted, start, lane=lane,
                               trace_id=req.request_id, args={"model": model})
-                tracer.record("execute", "execute", span_start, span_end,
+                tracer.record("execute", "execute", start, end,
                               lane=lane, trace_id=req.request_id,
                               args={"model": model, "fill": fill,
                                     "batch_index": batch_index,
                                     "worker": worker,
                                     "backend": self.backend})
-                tracer.record("request", "request", start, span_end, lane=lane,
+                tracer.record("request", "request", admitted, end, lane=lane,
                               trace_id=req.request_id,
                               args={"status": "completed", "model": model,
                                     "latency_ms": latency * 1e3})
         # Padding is relative to the engine's bound batch shape: even a
         # "full" policy batch below batch_size pays padded compute rows.
         self.metrics.record_batch(model, fill, self.server.batch_size,
-                                  compute_s, now=now)
-        self.metrics.record_queue_depth(now, self.depth())
+                                  compute_s, now=end)
+        self.metrics.record_queue_depth(end, self.depth())
         self.batch_index += 1
 
     def report(self, makespan_s: float, *, supervisor: dict,

@@ -1,8 +1,8 @@
 """Dynamic batching: per-model request queues with a max-batch/max-wait policy.
 
-PR 1's ``BatchedRunner`` coalesces *fixed full batches*: a request waits
-until ``batch_size - 1`` more requests show up, which is catastrophic for
-tail latency under sparse traffic.  A :class:`DynamicBatcher` instead
+Coalescing *fixed full batches* makes a request wait until
+``batch_size - 1`` more requests show up, which is catastrophic for tail
+latency under sparse traffic.  A :class:`DynamicBatcher` instead
 launches a batch as soon as either (a) ``max_batch`` requests are queued, or
 (b) the oldest queued request has waited ``max_wait_s`` — the timeout policy
 every production serving stack (Triton, TF-Serving, Clipper) converges on.
@@ -106,7 +106,7 @@ class DynamicBatcher:
         ``pending_arrivals`` is how many future requests for this model have
         not yet arrived; a full-batch policy keeps waiting while more are
         coming, but flushes a partial batch once the stream has drained
-        (matching ``BatchedRunner``'s final-batch semantics).  Returns
+        (the final partial batch of fixed-batch coalescing).  Returns
         ``math.inf`` when nothing can launch yet.
         """
         if not self._queue:

@@ -22,9 +22,9 @@ Design points:
   cross the task/result queues.  Codes are staged as int64 in the arena and
   cast back to the engine's exact dtype on receipt, which is lossless, so
   outputs stay bit-identical to in-process execution.
-* **Spawn context by default.**  ``fork`` would duplicate the parent's BLAS
-  state and compiled engines into every worker; ``spawn`` keeps workers
-  minimal and portable (and is the only start method on some platforms).
+* **Spawn context.**  ``fork`` would duplicate the parent's BLAS state and
+  compiled engines into every worker; ``spawn`` keeps workers minimal and
+  portable (and is the only start method on some platforms).
 * **Supervised recv.**  ``run()`` never blocks forever: the result recv
   polls with a per-task deadline (``task_timeout_s``) and checks
   ``Process.is_alive()`` between polls, raising typed
@@ -63,6 +63,10 @@ _ITEMSIZE = 8
 #: seconds between result-queue polls while waiting on a worker; bounds how
 #: fast a crash is noticed without busy-waiting
 _POLL_S = 0.05
+
+_START_TIMEOUT_S = 120.0      # a (re)spawned worker's deadline to report ready
+_RESPAWN_BACKOFF_MAX_S = 2.0  # cap on the exponential backoff before a respawn
+_JOIN_TIMEOUT_S = 10.0        # each join's wait before terminate, then kill
 
 
 def _worker_main(worker_index: int, artifact_paths: dict[str, str],
@@ -199,20 +203,17 @@ class ProcessFleetBackend:
     every model.  ``artifact_paths`` maps each model to the ``.rpa`` plan
     artifact its per-process engine bootstraps from.
 
-    ``task_timeout_s`` is the default per-task recv deadline (override per
-    call via ``run(..., timeout_s=...)``); ``faults`` threads a
+    ``task_timeout_s`` is the per-task recv deadline; ``faults`` threads a
     :class:`~repro.faults.FaultPlan` into every worker; ``max_respawns`` /
     ``respawn_backoff_s`` bound :meth:`respawn`.
     """
 
     def __init__(self, specs: dict[str, dict], artifact_paths: dict[str, str],
-                 *, workers: int, mp_context: str = "spawn",
-                 start_timeout_s: float = 120.0,
+                 *, workers: int,
                  task_timeout_s: float = 60.0,
                  faults: FaultPlan | None = None,
                  max_respawns: int = 2,
-                 respawn_backoff_s: float = 0.05,
-                 respawn_backoff_max_s: float = 2.0) -> None:
+                 respawn_backoff_s: float = 0.05) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if task_timeout_s <= 0:
@@ -225,13 +226,11 @@ class ProcessFleetBackend:
         self.specs = {name: dict(spec) for name, spec in specs.items()}
         self.artifact_paths = dict(artifact_paths)
         self.workers = int(workers)
-        self.start_timeout_s = float(start_timeout_s)
         self.task_timeout_s = float(task_timeout_s)
         self.faults = faults
         self.max_respawns = int(max_respawns)
         self.respawn_backoff_s = float(respawn_backoff_s)
-        self.respawn_backoff_max_s = float(respawn_backoff_max_s)
-        self._ctx = mp.get_context(mp_context)
+        self._ctx = mp.get_context("spawn")
         self._in_bytes = max(
             int(np.prod(spec["input_shape"])) * _ITEMSIZE
             for spec in self.specs.values())
@@ -272,7 +271,7 @@ class ProcessFleetBackend:
         self._processes[index] = process
 
     def _wait_ready(self, index: int) -> None:
-        message = self._result_queues[index].get(timeout=self.start_timeout_s)
+        message = self._result_queues[index].get(timeout=_START_TIMEOUT_S)
         if message[0] != "ready":
             raise RuntimeError(message[2])
 
@@ -329,16 +328,16 @@ class ProcessFleetBackend:
         self._respawn_counts[worker_index] = attempt + 1
         start = time.perf_counter()
         backoff = min(self.respawn_backoff_s * (2.0 ** attempt),
-                      self.respawn_backoff_max_s)
+                      _RESPAWN_BACKOFF_MAX_S)
         if backoff > 0:
             time.sleep(backoff)
         old = self._processes[worker_index]
         if old.is_alive():
             old.terminate()
-            old.join(timeout=10.0)
+            old.join(timeout=_JOIN_TIMEOUT_S)
             if old.is_alive():
                 old.kill()
-                old.join(timeout=10.0)
+                old.join(timeout=_JOIN_TIMEOUT_S)
         for retired in (self._task_queues[worker_index],
                         self._result_queues[worker_index]):
             retired.close()
@@ -363,8 +362,7 @@ class ProcessFleetBackend:
 
     # ------------------------------------------------------------------ #
     def run(self, worker_index: int, model: str,
-            images: Sequence[np.ndarray], trace: dict | None = None,
-            timeout_s: float | None = None):
+            images: Sequence[np.ndarray], trace: dict | None = None):
         """Execute megabatch groups on one worker process.
 
         ``images`` is a list of stacked per-batch arrays (``(fill, C, H,
@@ -378,8 +376,8 @@ class ProcessFleetBackend:
         tuples aligned to the parent's trace clock (empty otherwise) — see
         :meth:`repro.telemetry.Tracer.adopt`.
 
-        The recv is deadline-bounded (``timeout_s``, default
-        ``task_timeout_s``) and liveness-checked: a worker that dies raises
+        The recv is deadline-bounded (``task_timeout_s``) and
+        liveness-checked: a worker that dies raises
         :class:`~repro.faults.WorkerCrashed`, one that stalls past the
         deadline raises :class:`~repro.faults.WorkerTimeout`, and a task
         that fails in a live worker raises
@@ -395,7 +393,6 @@ class ProcessFleetBackend:
         if model not in self.specs:
             raise ValueError(f"unknown model {model!r}; "
                              f"fleet: {sorted(self.specs)}")
-        timeout = float(timeout_s) if timeout_s is not None else self.task_timeout_s
         fills = [int(np.asarray(group).shape[0]) for group in images]
         flat = np.concatenate([np.asarray(group, dtype=np.float64)
                                for group in images], axis=0)
@@ -411,7 +408,7 @@ class ProcessFleetBackend:
         result_queue = self._result_queues[worker_index]
         self._task_queues[worker_index].put(("run", task_id, model, fills,
                                              trace))
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + self.task_timeout_s
         while True:
             try:
                 message = result_queue.get(timeout=_POLL_S)
@@ -431,7 +428,8 @@ class ProcessFleetBackend:
                     self._timeouts += 1
                     raise WorkerTimeout(
                         f"worker {worker_index} produced no result for task "
-                        f"{task_id} on {model!r} within {timeout:g}s") from None
+                        f"{task_id} on {model!r} within "
+                        f"{self.task_timeout_s:g}s") from None
                 else:
                     continue
             if message[0] == "error":
@@ -451,12 +449,12 @@ class ProcessFleetBackend:
         return group_codes, int(executions), float(elapsed), spans
 
     # ------------------------------------------------------------------ #
-    def close(self, join_timeout_s: float = 10.0) -> None:
+    def close(self) -> None:
         """Stop the workers and release the arenas (idempotent).
 
         Arena close + unlink runs in a ``finally`` so shared-memory
         segments are released even when a worker ignores the stop message,
-        outlives ``join_timeout_s`` and has to be terminated — or when
+        outlives ``_JOIN_TIMEOUT_S`` and has to be terminated — or when
         queue teardown itself raises.
         """
         if self._closed:
@@ -472,13 +470,13 @@ class ProcessFleetBackend:
             for process in self._processes:
                 if process is None:
                     continue
-                process.join(timeout=join_timeout_s)
+                process.join(timeout=_JOIN_TIMEOUT_S)
                 if process.is_alive():
                     process.terminate()
-                    process.join(timeout=join_timeout_s)
+                    process.join(timeout=_JOIN_TIMEOUT_S)
                 if process.is_alive():
                     process.kill()
-                    process.join(timeout=join_timeout_s)
+                    process.join(timeout=_JOIN_TIMEOUT_S)
             for queue in (*self._task_queues, *self._result_queues):
                 if queue is None:
                     continue

@@ -11,29 +11,34 @@ artifact tier), and arrivals pass through
 The request lifecycle (shed, admit, preempt, queue, fail-or-retry, complete,
 with the metrics, outcomes and request spans of each step) lives once, in
 the per-run :class:`~repro.serving._session._ServeSession`.  This module
-holds the two *drivers* that feed it, which differ only in their clock and
-in how they find the next batch to run:
+holds the two *drivers* that feed it.  Each stamps every transition on its
+own single clock, and each has its own dispatch rule:
 
 * :meth:`FleetServer._serve_virtual` (``execution="virtual"``, the default)
   is a discrete-event scheduler that interleaves two event kinds in time
-  order: request arrivals, and batch launches (earliest ready queue on the
-  earliest free worker, ties broken by oldest queued request then model
-  name).  Arrivals at or before a launch instant are ingested first so
-  they can join the batch.  A batch advances the clock by its **measured**
-  compute time, or by a caller-supplied ``compute_time_fn(model, fill) ->
-  seconds`` for deterministic simulation — the engine still executes for
-  real so outputs stay bit-exact.
+  order: request arrivals, and batch launches.  A queue is ready once it
+  holds a full batch or its head has waited ``max_wait_s``; the earliest
+  ready queue launches on the earliest free worker, ties going to the
+  oldest queued request, then the model name.  Arrivals at or before a
+  launch instant are ingested first so they can join the batch.  A batch
+  advances the clock by its **measured** compute time, or by a
+  caller-supplied ``compute_time_fn(model, fill) -> seconds`` for
+  deterministic simulation — the engine still executes for real so
+  outputs stay bit-exact.
 * :meth:`FleetServer._serve_real` (``execution="real"``) runs the dispatch
   workers as threads on the wall clock — over in-process tape engines
   (``backend="thread"``) or proxying to worker processes
   (``backend="process"``, see :mod:`repro.serving.procfleet`) — and reports
-  measured throughput and latency.  It owns the scheduler lock, the claim
-  of the deepest idle queue, supervision and the pacers of
+  measured throughput and latency.  A worker never waits for a batch to
+  form: it claims the deepest idle queue and packs several policy batches
+  into one engine pass when the backlog allows (megabatching).  It owns
+  the scheduler lock, supervision and the pacers of
   :mod:`repro.serving.workload`.
 
-Because both drivers report every arrival, failed launch and finished batch
-through the same session, a virtual prediction and a wall-clock measurement
-of one stream share their policy code by construction.
+So the drivers share the lifecycle, not the dispatch rule.  ``max_wait_s``
+reaches the wall driver only as the ``formation`` term of
+:meth:`~repro.serving.admission.AdmissionController.predicted_latency_s`,
+a wait it never pays.
 
 One concurrency knob: ``workers=N`` dispatch workers.  Batches for
 *different models* launch concurrently (each model still serializes on its
@@ -130,7 +135,6 @@ class FleetServer:
                  workers: int = 1,
                  execution: str = "virtual",
                  backend: str = "thread",
-                 mp_context: str = "spawn",
                  disk_max_bytes: int | None = None,
                  telemetry: TelemetryConfig | None = None,
                  faults: FaultPlan | None = None,
@@ -171,7 +175,6 @@ class FleetServer:
                              "(the virtual clock runs in-process)")
         self.execution = execution
         self.backend = backend
-        self.mp_context = mp_context
         self.cache = PlanCache(
             cache_capacity if cache_capacity is not None else len(fleet),
             compile_fn=lambda name: deploy_compile(name, config),
@@ -237,7 +240,6 @@ class FleetServer:
     def serve(self, requests: Sequence[Request], *,
               pacing: object = None,
               time_scale: float = 1.0,
-              closed_concurrency: int | None = None,
               telemetry: TelemetryConfig | None = None,
               faults: FaultPlan | None = None,
               retry: RetryPolicy | None = None,
@@ -256,8 +258,9 @@ class FleetServer:
         server: ``"flood"`` (default — deterministic ingestion, then
         concurrent drain), ``"open"`` (arrival-paced on the wall clock,
         independent of completions), ``"closed"`` (completion-gated, at
-        most ``closed_concurrency`` in flight), or an explicit pacer
-        instance from :mod:`repro.serving.workload`.  ``time_scale``
+        most ``workers`` in flight), or an explicit pacer instance from
+        :mod:`repro.serving.workload` (``ClosedLoopPacer(requests,
+        concurrency=K)`` for another bound).  ``time_scale``
         stretches the scenario clock for open-loop pacing.  The virtual
         loop is open-loop by construction and accepts only flood pacing.
 
@@ -288,8 +291,7 @@ class FleetServer:
                 raise ValueError(f"duplicate request_id {req.request_id}; outcomes are "
                                  f"keyed by id, so ids must be unique per stream")
             seen_ids.add(req.request_id)
-        pacer, pacing_name = self._make_pacer(reqs, pacing, time_scale,
-                                              closed_concurrency)
+        pacer, pacing_name = self._make_pacer(reqs, pacing, time_scale)
         real = self.execution == "real"
         if pacer is not None and not real:
             raise ValueError(f"pacing={pacing_name!r} requires execution='real'; "
@@ -333,8 +335,7 @@ class FleetServer:
             corrupted[event.model] = corrupted.get(event.model, 0) + 1
         return corrupted
 
-    def _make_pacer(self, reqs: list[Request], pacing, time_scale: float,
-                    closed_concurrency: int | None):
+    def _make_pacer(self, reqs: list[Request], pacing, time_scale: float):
         """Resolve the ``pacing`` argument into (pacer, name)."""
         if pacing is None or pacing == "flood":
             return None, "flood"
@@ -342,9 +343,7 @@ class FleetServer:
             if pacing == "open":
                 return OpenLoopPacer(reqs, time_scale=time_scale), "open"
             if pacing == "closed":
-                concurrency = (closed_concurrency if closed_concurrency is not None
-                               else max(1, self.workers))
-                return ClosedLoopPacer(reqs, concurrency=concurrency), "closed"
+                return ClosedLoopPacer(reqs, concurrency=self.workers), "closed"
             raise ValueError(f"pacing must be 'flood', 'open', 'closed' or a "
                              f"pacer instance, got {pacing!r}")
         return pacing, getattr(pacing, "kind", "custom")
@@ -407,8 +406,7 @@ class FleetServer:
                 # The request cannot start before a worker is free AND its
                 # model's engine is free (one engine per model).
                 session.admit(req, req.arrival_s,
-                              max(free_slot, model_free[req.model]),
-                              req.arrival_s, req.arrival_s)
+                              max(free_slot, model_free[req.model]))
                 continue
             if best is None:
                 break
@@ -448,8 +446,7 @@ class FleetServer:
                                       args={"worker": worker_index,
                                             "recovery_s": recovery})
                 _, backoff, _ = session.fail_batch(
-                    worker_index, model, batch, event.kind, finish, launch_t,
-                    finish)
+                    worker_index, model, batch, event.kind, launch_t, finish)
                 model_free[model] = finish + backoff
                 continue
             engine = self.cache.get(model).engine
@@ -487,7 +484,7 @@ class FleetServer:
                                     "batch_index": session.batch_index,
                                     "compute_ms_wall": measured * 1e3})
             session.complete_batch(worker_index, model, batch, output.codes,
-                                   compute, finish, launch_t, finish)
+                                   compute, launch_t, finish)
 
         # Every modeled crash or hang cost one respawn.
         crashes = session.observed_faults.get("worker_crash", 0)
@@ -561,17 +558,12 @@ class FleetServer:
         op is per-sample independent, so per-request output codes are not.
         """
         tracer, telemetry = session.tracer, session.telemetry
-        retry, breaker, queues = session.retry, session.breaker, session.queues
-        # Trace clock origin: flood ingestion and backend spawn happen before
-        # serve_start, so spans measure from here (latency and makespan keep
-        # measuring from serve_start — their semantics are unchanged).
-        serve_origin = session.wall_start
+        retry, queues = session.retry, session.queues
 
         def now_s() -> float:
-            return time.perf_counter() - serve_origin
-
-        #: the session wants a trace-clock stamp for spans and for the breaker
-        stamped = tracer.enabled or breaker is not None
+            """Seconds since ``serve_start``, the one origin of every stamp
+            (latencies, outcomes, metrics timeline, spans, breaker)."""
+            return time.perf_counter() - serve_start
 
         lock = threading.Lock()
         work_ready = threading.Condition(lock)
@@ -586,12 +578,10 @@ class FleetServer:
         dead_workers: set[int] = set()
 
         if pacer is None:
-            # Deterministic admission pass (flood ingestion).  Ingestion
-            # happens before the wall clock starts; stamping the depth
-            # samples at t=0 keeps the timeline on one (wall) clock.
+            # Deterministic admission pass (flood ingestion).  The whole
+            # stream is offered at once, before serve_start: stamped 0.0.
             for req in reqs:
-                session.admit(req, req.arrival_s, req.arrival_s, 0.0,
-                              now_s() if stamped else 0.0)
+                session.admit(req, 0.0, 0.0)
 
         # Pin every requested model's engine resident before the drain (the
         # LRU cache is not touched from worker threads; paced arrivals may
@@ -611,7 +601,7 @@ class FleetServer:
                      for m in needed}
             proc_backend = ProcessFleetBackend(
                 specs, artifact_paths, workers=self.workers,
-                mp_context=self.mp_context, faults=session.plan,
+                faults=session.plan,
                 task_timeout_s=(retry.task_timeout_s if retry is not None
                                 else 60.0),
                 max_respawns=(retry.max_respawns if retry is not None else 2),
@@ -697,7 +687,7 @@ class FleetServer:
                 if event is not None:   # slow_task: straggle, then run
                     time.sleep(event.duration_s)
             detach = (_tape_spans(tracer, telemetry, engines[model],
-                                  worker_index, serve_origin, 0.0)
+                                  worker_index, serve_start, 0.0)
                       if trace_batch else None)
             try:
                 start = time.perf_counter()
@@ -720,19 +710,17 @@ class FleetServer:
             to the in-process path after a long failure streak.
             """
             kind = getattr(exc, "kind", "fault")
-            now_fail = time.perf_counter() - serve_start
-            span_t = now_s() if stamped else 0.0
+            end = now_s()
             claimed = [req for batch in groups for req in batch]
             with work_ready:
                 streak, backoff, failed_ids = session.fail_batch(
-                    worker_index, model, claimed, kind, now_fail, claim_t,
-                    span_t)
+                    worker_index, model, claimed, kind, claim_t, end)
                 if backoff > 0.0:
                     model_hold[model] = time.perf_counter() + backoff
                 model_busy[model] = False
                 work_ready.notify_all()
             if tracer.enabled:
-                tracer.record(kind, "fault", span_t, now_s(),
+                tracer.record(kind, "fault", end, now_s(),
                               lane=f"worker-{worker_index}",
                               args={"model": model, "streak": streak,
                                     "requests": len(claimed)})
@@ -782,7 +770,7 @@ class FleetServer:
                             work_ready.wait()
                         claim = pop_work()
                 model, groups = claim
-                claim_t = now_s() if tracer.enabled else 0.0
+                claim_t = now_s()
                 batch_traced = tracer.enabled and any(
                     req.request_id in session.traced for batch in groups
                     for req in batch)
@@ -806,10 +794,9 @@ class FleetServer:
                     if pacer is not None:
                         pacer.abort()
                     return
-                finish_wall = time.perf_counter() - serve_start
-                finish_t = now_s() if stamped else 0.0
+                end = now_s()
                 if batch_traced:
-                    tracer.record(model, "batch", claim_t, finish_t,
+                    tracer.record(model, "batch", claim_t, end,
                                   lane=f"worker-{worker_index}",
                                   args={"groups": len(groups),
                                         "fills": [len(b) for b in groups],
@@ -826,8 +813,7 @@ class FleetServer:
                     for batch, codes in zip(groups, group_codes):
                         session.complete_batch(
                             worker_index, model, batch, codes,
-                            elapsed / len(groups), finish_wall, claim_t,
-                            finish_t)
+                            elapsed / len(groups), claim_t, end)
                     model_busy[model] = False
                     work_ready.notify_all()
                 if pacer is not None:
@@ -840,15 +826,14 @@ class FleetServer:
             nonlocal ingesting
             try:
                 for req, _ in pacer:
-                    # Stamp the release on the latency clock (serve_start's
-                    # origin); the pacer's own offsets start later, in here.
-                    now = time.perf_counter() - serve_start
+                    # Stamp the release on serve_start's origin; the pacer's
+                    # own offsets start later, in here.
+                    now = now_s()
                     with work_ready:
                         if failures:
                             break
                         session.release[req.request_id] = now
-                        done_ids = session.admit(req, now, now, now,
-                                                 now_s() if stamped else 0.0)
+                        done_ids = session.admit(req, now, now)
                         work_ready.notify_all()
                     for request_id in done_ids:
                         pacer.on_completion(request_id)

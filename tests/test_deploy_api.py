@@ -30,7 +30,7 @@ from repro.deploy import (
     ServeConfig,
     config_key,
 )
-from repro.engine import PIPELINE_COUNTERS, BatchedRunner
+from repro.engine import PIPELINE_COUNTERS
 from repro.graph import GraphBuilder, OpKind, quantize_static
 from repro.models import MODEL_REGISTRY
 from repro.serving import Request
@@ -236,15 +236,6 @@ def test_unsupported_version_raises(lenet_artifact, tmp_path):
 # ---------------------------------------------------------------------- #
 # Deployment surface
 # ---------------------------------------------------------------------- #
-def test_batched_runner_accepts_deployment_directly(lenet_deployment):
-    rng = np.random.default_rng(3)
-    requests = rng.standard_normal((BATCH + 1, 3, IMAGE_SIZE, IMAGE_SIZE))
-    direct, _ = BatchedRunner(lenet_deployment).run(requests)
-    via_engine, _ = BatchedRunner(lenet_deployment.engine).run(requests)
-    for a, b in zip(direct, via_engine):
-        np.testing.assert_array_equal(a.codes, b.codes)
-
-
 def test_profile_and_manifest_on_loaded_deployment(lenet_artifact):
     loaded = Deployment.load(lenet_artifact)
     profile = loaded.profile(repeats=1)

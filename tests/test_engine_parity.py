@@ -1,5 +1,5 @@
 """Integer engine: bit-exactness against the fake-quant simulation, buffer
-safety, plan lowering and the batched runner."""
+safety and plan lowering."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from repro import deploy
 from repro.engine import (
-    BatchedRunner,
     PlanError,
     check_engine_parity,
     lower_graph,
@@ -248,31 +247,6 @@ def test_output_scale_dequantizes_to_simulation_values():
 
     reference = simulate_reference(compiled.graph, batch)
     np.testing.assert_array_equal(compiled.engine.run(batch).dequantize(), reference)
-
-
-# ---------------------------------------------------------------------- #
-# Batched runner
-# ---------------------------------------------------------------------- #
-def test_batched_runner_pads_and_matches_engine():
-    compiled = _compile("lenet_nano")
-    runner = BatchedRunner(compiled.engine)
-    rng = np.random.default_rng(3)
-    requests = rng.standard_normal((BATCH * 2 + 1, 3, IMAGE_SIZE, IMAGE_SIZE))
-    results, stats = runner.run(requests)
-    assert stats.requests == len(requests)
-    assert stats.batches == 3
-    assert stats.padded_requests == BATCH - 1
-    assert stats.throughput_rps > 0
-    assert stats.latency_p99_ms >= stats.latency_p50_ms >= 0
-    assert [r.request_id for r in results] == list(range(len(requests)))
-    # Per-request codes must equal a direct engine run over the same rows.
-    direct = compiled.engine.run(requests[:BATCH]).codes
-    for i in range(BATCH):
-        np.testing.assert_array_equal(results[i].codes, direct[i])
-    # Padding must not contaminate real requests in the final partial batch.
-    padded = np.zeros((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
-    padded[0] = requests[-1]
-    np.testing.assert_array_equal(results[-1].codes, compiled.engine.run(padded).codes[0])
 
 
 # ---------------------------------------------------------------------- #

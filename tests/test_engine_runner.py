@@ -1,4 +1,11 @@
-"""BatchedRunner edge cases and the engine's variable-fill execution path."""
+"""Full-batch coalescing of a request stream, and the engine's variable-fill
+execution path.
+
+A stream of single-image requests is served with
+``dep.serve(ServeConfig(max_wait_s=None)).serve(requests)``: the fleet
+server's full-batch policy on the virtual clock.  A fixed per-batch cost
+keeps every latency exact.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +13,13 @@ import numpy as np
 import pytest
 
 from repro import deploy
-from repro.engine import BatchedRunner
+from repro.deploy import ServeConfig
+from repro.serving import Request
 
 IMAGE_SIZE = 8
 BATCH = 4
+#: per-batch compute seconds on the virtual clock
+COST_S = 2e-3
 
 
 @pytest.fixture(scope="module")
@@ -23,54 +33,54 @@ def _images(count: int, seed: int = 0) -> np.ndarray:
     return rng.standard_normal((count, 3, IMAGE_SIZE, IMAGE_SIZE))
 
 
+def _serve(compiled, images: np.ndarray, arrivals=None):
+    """Serve one request per image (all at t=0 unless ``arrivals`` is given)
+    under the full-batch policy; returns the fleet report."""
+    if arrivals is None:
+        arrivals = np.zeros(len(images))
+    requests = [Request(i, compiled.model, float(t), image)
+                for i, (t, image) in enumerate(zip(arrivals, images))]
+    server = compiled.serve(ServeConfig(max_wait_s=None),
+                            compute_time_fn=lambda model, fill: COST_S)
+    return server.serve(requests)
+
+
 # ---------------------------------------------------------------------- #
-# RunnerStats: p95 and the zero-request guard
+# Latency statistics: p95 and the zero-request guard
 # ---------------------------------------------------------------------- #
 def test_stats_include_p95(compiled):
-    runner = BatchedRunner(compiled.engine)
-    _, stats = runner.run(_images(10))
-    assert stats.latency_p95_ms > 0.0
-    assert stats.latency_p50_ms <= stats.latency_p95_ms <= stats.latency_p99_ms
-    payload = stats.to_dict()
-    assert payload["latency_p95_ms"] == stats.latency_p95_ms
-    for key in ("latency_p50_ms", "latency_p90_ms", "latency_p95_ms", "latency_p99_ms"):
-        assert key in payload
+    report = _serve(compiled, _images(10))
+    latency = report.fleet["latency_ms"]
+    assert latency["p95"] > 0.0
+    assert latency["p50"] <= latency["p95"] <= latency["p99"]
+    assert report.to_dict()["metrics"]["fleet"]["latency_ms"]["p95"] == latency["p95"]
 
 
 def test_zero_request_run_yields_zeroed_stats(compiled):
-    runner = BatchedRunner(compiled.engine)
-    results, stats = runner.run(_images(0))
-    assert results == []
-    assert stats.requests == 0
-    assert stats.batches == 0
-    assert stats.throughput_rps == 0.0
-    assert stats.latency_mean_ms == 0.0
-    assert stats.latency_p95_ms == 0.0
-    assert stats.latency_p99_ms == 0.0
-    # to_dict must serialize without touching an empty percentile array.
-    assert stats.to_dict()["requests"] == 0
+    report = _serve(compiled, _images(0))
+    assert report.outcomes == []
+    assert report.completed == 0
+    assert report.metrics["per_model"][compiled.model]["batches"] == 0
+    assert report.fleet["goodput_rps"] == 0.0
+    assert report.fleet["latency_ms"]["mean"] == 0.0
+    assert report.fleet["latency_ms"]["p95"] == 0.0
+    assert report.fleet["latency_ms"]["p99"] == 0.0
 
 
 # ---------------------------------------------------------------------- #
-# Staging buffer dtype and input validation
+# Input validation
 # ---------------------------------------------------------------------- #
-def test_staging_uses_engine_input_dtype(compiled):
-    runner = BatchedRunner(compiled.engine)
-    assert runner._staging.dtype == compiled.engine.input_dtype
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_requests_rejected(compiled, bad):
-    runner = BatchedRunner(compiled.engine)
     images = _images(3)
     images[1, 0, 0, 0] = bad
     with pytest.raises(ValueError, match="finite"):
-        runner.run(images)
+        _serve(compiled, images)
 
 
 def test_engine_rejects_non_finite_inputs_directly(compiled):
-    """The guard lives in the engine, so every caller (runner, serving,
-    direct run/run_partial) is covered."""
+    """The guard lives in the engine, so every caller (serving, direct
+    run/run_partial) is covered."""
     batch = _images(BATCH)
     batch[0, 0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="finite"):
@@ -83,58 +93,59 @@ def test_engine_rejects_non_finite_inputs_directly(compiled):
 # Arrival-time edge cases
 # ---------------------------------------------------------------------- #
 def test_duplicate_arrival_timestamps_are_valid(compiled):
-    runner = BatchedRunner(compiled.engine)
     arrivals = np.array([0.0, 0.0, 0.1, 0.1, 0.1, 0.2])
-    results, stats = runner.run(_images(6), arrivals)
-    assert stats.requests == 6
+    report = _serve(compiled, _images(6), arrivals)
+    assert report.completed == 6
     # Requests sharing a timestamp and a batch share the batch finish time,
     # hence identical latencies.
-    assert results[0].latency_s == pytest.approx(results[1].latency_s)
-
-
-def test_decreasing_arrivals_rejected(compiled):
-    runner = BatchedRunner(compiled.engine)
-    with pytest.raises(ValueError, match="non-decreasing"):
-        runner.run(_images(3), np.array([0.0, 0.2, 0.1]))
+    assert report.outcomes[0].latency_s == report.outcomes[1].latency_s
 
 
 def test_final_partial_batch_is_padded_and_counted(compiled):
-    runner = BatchedRunner(compiled.engine)
-    results, stats = runner.run(_images(BATCH + 2))
-    assert stats.batches == 2
-    assert stats.padded_requests == BATCH - 2
-    assert len(results) == BATCH + 2
-    assert [r.batch_index for r in results] == [0] * BATCH + [1, 1]
+    images = _images(BATCH + 2)
+    report = _serve(compiled, images)
+    stats = report.metrics["per_model"][compiled.model]
+    assert stats["batches"] == 2
+    assert stats["padded_slots"] == BATCH - 2
+    assert report.completed == BATCH + 2
+    assert [o.batch_index for o in report.outcomes] == [0] * BATCH + [1, 1]
+    # Per-request codes equal a direct engine run over the same rows, and
+    # padding does not contaminate the final partial batch.
+    padded = np.zeros((BATCH, 3, IMAGE_SIZE, IMAGE_SIZE))
+    padded[:2] = images[BATCH:]
+    direct = np.concatenate([compiled.engine.run(images[:BATCH]).codes,
+                             compiled.engine.run(padded).codes[:2]])
+    for outcome in report.outcomes:
+        np.testing.assert_array_equal(outcome.codes, direct[outcome.request_id])
 
 
 def test_burst_latencies_grow_with_batch_index(compiled):
     """An all-at-t=0 burst queues behind the worker: later batches wait longer."""
-    runner = BatchedRunner(compiled.engine)
-    results, _ = runner.run(_images(3 * BATCH))
+    report = _serve(compiled, _images(3 * BATCH))
     per_batch = {}
-    for r in results:
-        per_batch.setdefault(r.batch_index, r.latency_s)
+    for outcome in report.outcomes:
+        per_batch.setdefault(outcome.batch_index, outcome.latency_s)
         # same arrival + same batch finish => identical latency within a batch
-        assert r.latency_s == pytest.approx(per_batch[r.batch_index])
+        assert outcome.latency_s == per_batch[outcome.batch_index]
     assert per_batch[0] < per_batch[1] < per_batch[2]
+    assert per_batch[2] == pytest.approx(3 * COST_S)
 
 
 def test_spaced_arrivals_wait_for_their_batch_to_fill(compiled):
     """With fixed full-batch coalescing, the earliest request of a batch
     waits for the batch-filling arrival: latencies decrease within a batch."""
-    runner = BatchedRunner(compiled.engine)
     gap = 0.5
     arrivals = np.arange(2 * BATCH) * gap
-    results, stats = runner.run(_images(2 * BATCH), arrivals)
+    report = _serve(compiled, _images(2 * BATCH), arrivals)
     for batch_start in (0, BATCH):
-        batch = results[batch_start:batch_start + BATCH]
-        latencies = [r.latency_s for r in batch]
+        batch = report.outcomes[batch_start:batch_start + BATCH]
+        latencies = [o.latency_s for o in batch]
         assert latencies == sorted(latencies, reverse=True)
         # The batch head waited ~(BATCH-1) gaps; the tail only its compute.
         assert latencies[0] >= (BATCH - 1) * gap
-        assert latencies[-1] < gap
-    # Virtual makespan covers the arrival span, so throughput is arrival-bound.
-    assert stats.total_time_s >= arrivals[-1]
+        assert latencies[-1] == pytest.approx(COST_S)
+    # The virtual makespan covers the arrival span.
+    assert report.metrics["makespan_s"] >= arrivals[-1]
 
 
 # ---------------------------------------------------------------------- #

@@ -31,6 +31,7 @@ from repro.serving import (
     ProcessFleetBackend,
     Request,
     Scenario,
+    TelemetryConfig,
     fleet_input_shapes,
     generate_requests,
 )
@@ -223,7 +224,11 @@ def test_real_serving_with_open_and_closed_pacing_matches_virtual_codes():
 
 def test_paced_release_is_stamped_on_the_latency_clock():
     """Releases sit on ``serve_start``'s origin, not on the pacer's own clock:
-    a pacer that starts late must not push its delay into every latency."""
+    a pacer that starts late must not push its delay into every latency.
+
+    Spans share that one origin: every completed request's ``request`` span
+    starts at its release (0.0 under flood, which offers the whole stream
+    at once) and ends at release + latency, to the bit."""
     late_s = 0.3
 
     class LatePacer(OpenLoopPacer):
@@ -232,11 +237,22 @@ def test_paced_release_is_stamped_on_the_latency_clock():
             yield from super().__iter__()
 
     requests = [_request(i, 0.01 * i) for i in range(6)]
-    report = _server("real").serve(requests, pacing=LatePacer(requests))
-    assert report.completed == len(requests)
-    for outcome in report.outcomes:
+    server = _server("real", telemetry=TelemetryConfig(sample_rate=1.0))
+    paced = server.serve(requests, pacing=LatePacer(requests))
+    assert paced.completed == len(requests)
+    for outcome in paced.outcomes:
         assert outcome.release_s >= late_s
         assert outcome.latency_s < late_s
+    flood = server.serve(requests, pacing="flood")
+    assert flood.completed == len(requests)
+    for report in (paced, flood):
+        spans = {span.trace_id: span for span in report.trace.spans
+                 if span.name == "request"}
+        for outcome in report.outcomes:
+            release = outcome.release_s if report is paced else 0.0
+            span = spans[outcome.request_id]
+            assert span.start_s == release
+            assert span.end_s == release + outcome.latency_s
 
 
 def test_measured_costs_feed_the_bucket_that_ran_them():
