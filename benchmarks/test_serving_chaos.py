@@ -114,6 +114,13 @@ def test_serving_faults(benchmark, report_writer):
 
     proc_faults = proc_chaos.faults
     proc_supervisor = proc_faults["supervisor"]
+    # One fault semantics on both clocks: the parent draws every fault once,
+    # so the live fleet observes exactly the virtual pass's faults, and no
+    # model falls back to in-process threads.
+    assert proc_faults["observed"] == chaos.faults["observed"], (
+        f"process pass observed {proc_faults['observed']}, virtual pass "
+        f"{chaos.faults['observed']}")
+    assert proc_faults["degraded_models"] == []
     terminal = proc_chaos.completed + proc_chaos.shed \
         + proc_chaos.metrics["fleet"]["failed"]
     assert terminal == len(requests), "every request must reach a terminal status"

@@ -5,8 +5,8 @@ The fault plane has three layers, threaded through the serving stack:
 * **Injection** (:class:`FaultPlan` / :class:`FaultInjector`): a seeded,
   picklable schedule of ``worker_crash`` / ``task_hang`` / ``task_error`` /
   ``slow_task`` / ``artifact_corrupt`` events addressed in worker-task
-  coordinates, so a chaos run replays identically on the virtual and the
-  wall clock and on the thread and the process backend.
+  coordinates and drawn once, in the serving parent, so a chaos run fires
+  the same faults on both clocks and on the thread and process backends.
 * **Supervision** (:mod:`repro.serving.procfleet`): per-task recv
   deadlines, ``Process.is_alive()`` liveness checks, typed
   :class:`WorkerCrashed` / :class:`WorkerTimeout` errors, and bounded

@@ -13,18 +13,18 @@ fault plane the fleet server and the process backend share:
   reproducible on both the virtual and the wall clock and on both the
   thread and the process backend: the coordinates depend only on dispatch
   order, never on timing;
-* :class:`FaultInjector` — the runtime consumer of a plan.  The parent
-  process polls it in the virtual loop and the thread backend; each worker
-  process builds its own injector from the (pickled) plan, offset by the
-  number of tasks the previous incarnation already consumed, so a respawned
-  worker never re-fires an event that already happened.
+* :class:`FaultInjector` — the runtime consumer of a plan.  Every task
+  fault is drawn once, in the serving parent, on every backend: the
+  virtual loop models it, the thread backend acts it out in-process, and
+  the process backend hands a drawn ``worker_crash`` / ``task_hang`` to
+  the worker process, which only acts out what it is handed.
 
 Fault kinds:
 
 ``worker_crash``
-    The worker process dies mid-task (``os._exit``); on the thread backend
-    and the virtual clock the same event raises :class:`InjectedFault` with
-    ``kind="worker_crash"`` so supervision logic is exercised identically.
+    The worker process dies mid-task (``os._exit``); the thread backend
+    raises :class:`WorkerCrashed` in-process instead, and the virtual clock
+    fails the batch as ``worker_crash`` and models the respawn.
 ``task_hang``
     The task stalls for ``duration_s`` — long enough to trip the parent's
     recv deadline on the process backend (:class:`WorkerTimeout`).
@@ -40,7 +40,7 @@ Fault kinds:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from threading import Lock
 
 import numpy as np
@@ -92,12 +92,6 @@ class TaskFailed(FaultError):
     """The worker stayed alive but replied with a task-level error."""
 
     kind = "task_error"
-
-    def __init__(self, message: str, reason: str = "task") -> None:
-        super().__init__(message)
-        #: "task" for a genuine worker-side exception, "task_error" for an
-        #: injected one — both supervise identically
-        self.reason = reason
 
 
 class InjectedFault(FaultError):
@@ -161,9 +155,9 @@ class FaultEvent:
 class FaultPlan:
     """A reproducible schedule of :class:`FaultEvent` s (plus its seed).
 
-    Plans are plain frozen dataclasses so they pickle across the spawn
-    boundary into worker processes unchanged.  ``seed`` is carried for
-    reporting; :meth:`seeded` derives the whole schedule from it.
+    Plans are plain frozen dataclasses: they compare and pickle by value.
+    ``seed`` is carried for reporting; :meth:`seeded` derives the whole
+    schedule from it.
     """
 
     events: tuple[FaultEvent, ...] = ()
@@ -213,16 +207,9 @@ class FaultPlan:
                                              duration_s=slow_s))
         return cls(events=tuple(events), seed=seed)
 
-    def injector(self, *, worker: int | None = None,
-                 task_offset: int = 0) -> "FaultInjector":
+    def injector(self) -> "FaultInjector":
         """Runtime consumer of this plan (see :class:`FaultInjector`)."""
-        return FaultInjector(self, worker=worker, task_offset=task_offset)
-
-    def for_worker(self, worker: int) -> "FaultPlan":
-        """The sub-plan relevant to one worker (events it could fire)."""
-        return replace(self, events=tuple(
-            e for e in self.events
-            if e.worker is None or e.worker == worker))
+        return FaultInjector(self)
 
     @property
     def artifact_events(self) -> tuple[FaultEvent, ...]:
@@ -249,22 +236,15 @@ class FaultInjector:
     execution); it advances the worker's task counter and returns the
     matching :class:`FaultEvent` to apply, or ``None``.  Events with an
     explicit ``task_index`` fire exactly at that ordinal; events without
-    one fire on the next matching task, ``count`` times.  ``task_offset``
-    pre-advances one worker's counter — a respawned worker process resumes
-    counting where its predecessor stopped, so consumed events never
-    re-fire.
+    one fire on the next matching task, ``count`` times per serve.  A
+    worker slot's counter runs across respawns of its process, so a
+    consumed event never re-fires.
     """
 
-    def __init__(self, plan: FaultPlan, *, worker: int | None = None,
-                 task_offset: int = 0) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._slots = [_Slot(e) for e in plan.events
-                       if e.kind in _TASK_KINDS
-                       and (worker is None or e.worker is None
-                            or e.worker == worker)]
+        self._slots = [_Slot(e) for e in plan.events if e.kind in _TASK_KINDS]
         self._counts: dict[int, int] = {}
-        if worker is not None and task_offset:
-            self._counts[worker] = int(task_offset)
         self._lock = Lock()
         self.injected: dict[str, int] = {}
         self.polled = 0

@@ -154,19 +154,17 @@ class TQTQuantizer(Module):
         (baseline configurations; the TQT scheme itself is per-tensor).
     trainable: when False the threshold is held fixed (static mode or
         wt-only retraining).
-    fused: select the fused kernel (default) or the unfused composition.
     """
 
     def __init__(self, config: QuantConfig, init_log2_t: float = 0.0,
                  channel_count: int | None = None, channel_axis: int = 0,
-                 trainable: bool = True, fused: bool = True, name: str | None = None) -> None:
+                 trainable: bool = True, name: str | None = None) -> None:
         super().__init__()
         self.config = config
         self.channel_axis = channel_axis if channel_count is not None else None
         shape = (channel_count,) if channel_count is not None else ()
         self.log2_t = Parameter(np.full(shape, float(init_log2_t)), requires_grad=trainable)
         self.trainable = trainable
-        self.fused = fused
         self.frozen = False
         self.name = name
         self.calibrated = False
@@ -217,9 +215,7 @@ class TQTQuantizer(Module):
     # Forward
     # ------------------------------------------------------------------ #
     def forward(self, x: Tensor) -> Tensor:
-        if self.fused or self.channel_axis is not None:
-            return tqt_quantize(x, self.log2_t, self.config, channel_axis=self.channel_axis)
-        return tqt_quantize_unfused(x, self.log2_t, self.config)
+        return tqt_quantize(x, self.log2_t, self.config, channel_axis=self.channel_axis)
 
     def quantize_to_integers(self, x: np.ndarray) -> np.ndarray:
         """Return the integer codes ``q`` for ``x`` (used by the fixed-point path)."""

@@ -13,6 +13,9 @@ Every transition takes one stamp per instant from the driver, on one
 clock: the virtual clock, or wall seconds since the serve started.
 Latencies, outcomes, the metrics timeline, spans and the circuit breaker
 all read that stamp.
+
+:func:`timed_run` is the one way a batch executes: the virtual driver, the
+thread backend and every process worker run their batches through it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,31 @@ from pathlib import Path
 
 import numpy as np
 
-from ..telemetry.trace import Trace
+from ..engine.runner import run_partial_groups
+from ..telemetry.trace import Trace, attach_tape_sink
 from .batcher import DynamicBatcher
 from .metrics import MetricsCollector
 from .workload import Request
+
+
+def timed_run(engine, groups: list[np.ndarray], emit=None):
+    """Run partial-fill ``groups`` through ``engine``, timed.
+
+    ``emit(name, args, t0, t1)``, when given and the engine runs a tape,
+    receives each executed instruction with raw ``perf_counter`` stamps;
+    the sink is detached before this returns.  Returns ``(codes per group,
+    engine passes, start, elapsed)``, ``start`` on ``perf_counter``.
+    """
+    detach = (attach_tape_sink(engine, emit)
+              if emit is not None and engine.tape is not None else None)
+    try:
+        start = time.perf_counter()
+        outputs, executions = run_partial_groups(engine, groups)
+        elapsed = time.perf_counter() - start
+    finally:
+        if detach is not None:
+            detach()
+    return [out.codes for out in outputs], executions, start, elapsed
 
 
 @dataclass(frozen=True)
@@ -358,8 +382,8 @@ class _ServeSession:
 
         ``supervisor`` / ``degraded_models`` / ``dead_workers`` are the
         driver's own recovery bookkeeping (modeled on the virtual clock,
-        measured by the process backend); ``injected`` is the parent-side
-        injector's tally where one ran.
+        measured by the process backend); ``injected`` is the injector's
+        tally, ``None`` without a fault plan.
         """
         server, telemetry = self.server, self.telemetry
         plan, retry, breaker = self.plan, self.retry, self.breaker

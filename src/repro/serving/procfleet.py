@@ -32,9 +32,11 @@ Design points:
   errors the server's supervisor can recover from.  :meth:`respawn`
   rebuilds a dead worker — bounded attempts with exponential backoff,
   engines re-bootstrapped from the same artifacts, the *same* parent-owned
-  arenas re-attached — and offsets the replacement's fault-injection task
-  counter so consumed :class:`~repro.faults.FaultPlan` events never
-  re-fire.
+  arenas re-attached.
+* **Faults are drawn in the parent.**  The server draws every task fault
+  of a :class:`~repro.faults.FaultPlan` itself, on every backend; a worker
+  injects nothing of its own and only acts out the ``worker_crash`` or
+  ``task_hang`` a task message hands it.
 
 The backend is deliberately synchronous per worker — ``run(worker_index,
 ...)`` blocks until that worker's result returns — because the
@@ -53,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..faults import FaultPlan, RespawnExhausted, TaskFailed, WorkerCrashed, WorkerTimeout
+from ..faults import RespawnExhausted, TaskFailed, WorkerCrashed, WorkerTimeout
 
 __all__ = ["ProcessFleetBackend"]
 
@@ -71,38 +73,32 @@ _JOIN_TIMEOUT_S = 10.0        # each join's wait before terminate, then kill
 
 def _worker_main(worker_index: int, artifact_paths: dict[str, str],
                  specs: dict[str, dict], in_name: str, out_name: str,
-                 task_queue, result_queue, faults: FaultPlan | None = None,
-                 task_offset: int = 0) -> None:
+                 task_queue, result_queue) -> None:
     """Worker-process entry point: bootstrap engines, then serve tasks.
 
-    Protocol (task queue): ``("run", task_id, model, fills, trace)`` — the
-    parent has written ``sum(fills)`` concatenated images into the input
-    arena; execute them as megabatch groups, write the concatenated codes
+    Protocol (task queue): ``("run", task_id, model, fills, trace, fault)``
+    — the parent has written ``sum(fills)`` concatenated images into the
+    input arena; execute them as megabatch groups through
+    :func:`~repro.serving._session.timed_run`, write the concatenated codes
     into the output arena, reply ``("done", task_id, elapsed_s, executions,
-    dtype, shape, spans)``.  ``trace`` is ``None`` (tracing off) or
+    dtype, shape, spans)``.  ``fault`` is ``None`` or the ``(kind,
+    duration_s)`` of a fault the parent drew for this task: a
+    ``worker_crash`` hard-exits with no reply, a ``task_hang`` sleeps
+    ``duration_s`` first.  ``trace`` is ``None`` (tracing off) or
     ``{"now": parent_stamp_s, "tape": bool}``: the worker aligns its clock
     with the parent by ``offset = parent_stamp_s - perf_counter()`` at task
     receipt and ships span tuples (see
     :meth:`repro.telemetry.Span.to_tuple`) back in ``spans`` — a worker-lane
     execute span, plus per-instruction tape spans when ``tape`` is set and
     the engine runs in tape mode.  ``("stop",)`` exits.  Any failure replies
-    ``("error", task_id_or_None, message, reason)``; bootstrap failures
-    carry ``task_id=None`` and ``reason="bootstrap"``.
-
-    ``faults`` is an optional :class:`~repro.faults.FaultPlan`; the worker
-    builds its own injector over it, pre-advanced by ``task_offset`` (the
-    number of tasks a previous incarnation of this worker slot already
-    executed), and applies matching events *in-process*: ``worker_crash``
-    hard-exits, ``task_hang``/``slow_task`` stall, ``task_error`` replies
-    with a typed error — exactly the failure modes a real fleet sees.
+    ``("error", task_id_or_None, message)``; bootstrap failures carry
+    ``task_id=None``.
     """
     from multiprocessing import shared_memory
 
     from ..deploy.deployment import Deployment
-    from ..engine.runner import run_partial_groups
+    from ._session import timed_run
 
-    injector = (faults.injector(worker=worker_index, task_offset=task_offset)
-                if faults is not None else None)
     try:
         # Attaching registers the segments with the resource tracker again;
         # spawn children share the parent's tracker process, where register
@@ -115,61 +111,40 @@ def _worker_main(worker_index: int, artifact_paths: dict[str, str],
         result_queue.put(("ready", worker_index, sorted(engines)))
     except BaseException as exc:  # noqa: BLE001 - must cross the process edge
         result_queue.put(("error", None, f"worker {worker_index} bootstrap "
-                                         f"failed: {exc!r}", "bootstrap"))
+                                         f"failed: {exc!r}"))
         return
     try:
         while True:
             message = task_queue.get()
             if message[0] == "stop":
                 return
-            _, task_id, model, fills, trace = message
+            _, task_id, model, fills, trace, fault = message
             try:
-                event = (injector.poll(worker_index, model)
-                         if injector is not None else None)
-                if event is not None:
-                    if event.kind == "worker_crash":
+                if fault is not None:
+                    kind, duration_s = fault
+                    if kind == "worker_crash":
                         # A real crash: no reply, no cleanup, nonzero exit.
                         os._exit(3)
-                    if event.kind in ("task_hang", "slow_task"):
-                        time.sleep(event.duration_s)
-                    if event.kind == "task_error":
-                        result_queue.put((
-                            "error", task_id,
-                            f"worker {worker_index} task {task_id} on "
-                            f"{model!r}: injected task_error", "task_error"))
-                        continue
-                engine = engines[model]
+                    time.sleep(duration_s)
                 sample_shape = tuple(specs[model]["input_shape"][1:])
-                total = int(sum(fills))
-                staged = np.ndarray((total, *sample_shape), dtype=np.float64,
-                                    buffer=in_shm.buf)
-                groups, offset = [], 0
-                for fill in fills:
-                    groups.append(staged[offset:offset + fill])
-                    offset += fill
+                staged = np.ndarray((int(sum(fills)), *sample_shape),
+                                    dtype=np.float64, buffer=in_shm.buf)
+                bounds = np.cumsum([0, *fills])
+                groups = [staged[a:b] for a, b in zip(bounds, bounds[1:])]
                 spans: list[tuple] = []
-                detach = None
-                clock_offset = 0.0
+                emit = None
                 if trace is not None:
                     # Align this process's clock with the parent's trace
                     # clock: the parent stamped "now" just before sending.
                     clock_offset = trace["now"] - time.perf_counter()
-                    if trace.get("tape") and getattr(engine, "mode", None) == "tape":
-                        from ..telemetry.trace import attach_tape_sink
+                    if trace["tape"]:
                         lane = f"proc-worker-{worker_index}-tape"
 
-                        def emit(name, args, t0, t1, _lane=lane):
+                        def emit(name, args, t0, t1):
                             spans.append((name, "tape", t0 + clock_offset,
-                                          t1 + clock_offset, _lane, None, args))
-
-                        detach = attach_tape_sink(engine, emit)
-                try:
-                    start = time.perf_counter()
-                    outputs, executions = run_partial_groups(engine, groups)
-                    elapsed = time.perf_counter() - start
-                finally:
-                    if detach is not None:
-                        detach()
+                                          t1 + clock_offset, lane, None, args))
+                group_codes, executions, start, elapsed = timed_run(
+                    engines[model], groups, emit)
                 if trace is not None:
                     spans.append((model, "execute", start + clock_offset,
                                   start + elapsed + clock_offset,
@@ -177,9 +152,7 @@ def _worker_main(worker_index: int, artifact_paths: dict[str, str],
                                   {"fills": list(fills),
                                    "executions": int(executions),
                                    "compute_ms": elapsed * 1e3}))
-                codes = np.concatenate(
-                    [out.codes[:fill] for out, fill in zip(outputs, fills)],
-                    axis=0)
+                codes = np.concatenate(group_codes, axis=0)
                 out_view = np.ndarray(codes.shape, dtype=np.int64,
                                       buffer=out_shm.buf)
                 out_view[:] = codes  # int32 -> int64 widening is lossless
@@ -188,7 +161,7 @@ def _worker_main(worker_index: int, artifact_paths: dict[str, str],
             except BaseException as exc:  # noqa: BLE001
                 result_queue.put(("error", task_id,
                                   f"worker {worker_index} task {task_id} on "
-                                  f"{model!r} failed: {exc!r}", "task"))
+                                  f"{model!r} failed: {exc!r}"))
     finally:
         in_shm.close()
         out_shm.close()
@@ -203,15 +176,13 @@ class ProcessFleetBackend:
     every model.  ``artifact_paths`` maps each model to the ``.rpa`` plan
     artifact its per-process engine bootstraps from.
 
-    ``task_timeout_s`` is the per-task recv deadline; ``faults`` threads a
-    :class:`~repro.faults.FaultPlan` into every worker; ``max_respawns`` /
+    ``task_timeout_s`` is the per-task recv deadline; ``max_respawns`` /
     ``respawn_backoff_s`` bound :meth:`respawn`.
     """
 
     def __init__(self, specs: dict[str, dict], artifact_paths: dict[str, str],
                  *, workers: int,
                  task_timeout_s: float = 60.0,
-                 faults: FaultPlan | None = None,
                  max_respawns: int = 2,
                  respawn_backoff_s: float = 0.05) -> None:
         if workers < 1:
@@ -227,7 +198,6 @@ class ProcessFleetBackend:
         self.artifact_paths = dict(artifact_paths)
         self.workers = int(workers)
         self.task_timeout_s = float(task_timeout_s)
-        self.faults = faults
         self.max_respawns = int(max_respawns)
         self.respawn_backoff_s = float(respawn_backoff_s)
         self._ctx = mp.get_context("spawn")
@@ -243,9 +213,6 @@ class ProcessFleetBackend:
         self._result_queues: list = [None] * self.workers
         self._processes: list = [None] * self.workers
         self._task_counter = 0
-        #: tasks dispatched per worker slot across its whole lifetime — the
-        #: fault-injection task offset a respawned worker resumes from
-        self._dispatched = [0] * self.workers
         self._respawn_counts = [0] * self.workers
         self._respawn_s: list[float] = []
         self._crashes = 0
@@ -264,8 +231,7 @@ class ProcessFleetBackend:
             target=_worker_main,
             args=(index, self.artifact_paths, self.specs,
                   self._in_shms[index].name, self._out_shms[index].name,
-                  task_queue, result_queue, self.faults,
-                  self._dispatched[index]),
+                  task_queue, result_queue),
             name=f"fleet-worker-{index}", daemon=True)
         process.start()
         self._processes[index] = process
@@ -311,9 +277,7 @@ class ProcessFleetBackend:
         exponential backoff.  The old process is terminated (killed if it
         ignores SIGTERM), its queues retired without blocking on undelivered
         data, and a fresh process re-bootstraps its engines from the same
-        artifacts against the same parent-owned arenas.  The replacement's
-        fault-injection counter resumes at this slot's dispatched-task
-        count, so plan events the old incarnation consumed never re-fire.
+        artifacts against the same parent-owned arenas.
         """
         if not self._started or self._closed:
             raise RuntimeError("backend is not running (call start())")
@@ -362,7 +326,8 @@ class ProcessFleetBackend:
 
     # ------------------------------------------------------------------ #
     def run(self, worker_index: int, model: str,
-            images: Sequence[np.ndarray], trace: dict | None = None):
+            images: Sequence[np.ndarray], trace: dict | None = None,
+            fault: tuple[str, float] | None = None):
         """Execute megabatch groups on one worker process.
 
         ``images`` is a list of stacked per-batch arrays (``(fill, C, H,
@@ -374,7 +339,9 @@ class ProcessFleetBackend:
         cost model.  ``trace`` is ``None`` or ``{"now": parent_trace_stamp,
         "tape": bool}``; when set, ``spans`` carries the worker's span
         tuples aligned to the parent's trace clock (empty otherwise) — see
-        :meth:`repro.telemetry.Tracer.adopt`.
+        :meth:`repro.telemetry.Tracer.adopt`.  ``fault`` is ``None`` or a
+        parent-drawn ``("worker_crash" | "task_hang", duration_s)`` the
+        worker acts out on this task.
 
         The recv is deadline-bounded (``task_timeout_s``) and
         liveness-checked: a worker that dies raises
@@ -404,10 +371,9 @@ class ProcessFleetBackend:
         staged[:] = flat
         task_id = self._task_counter
         self._task_counter += 1
-        self._dispatched[worker_index] += 1
         result_queue = self._result_queues[worker_index]
         self._task_queues[worker_index].put(("run", task_id, model, fills,
-                                             trace))
+                                             trace, fault))
         deadline = time.monotonic() + self.task_timeout_s
         while True:
             try:
@@ -433,8 +399,7 @@ class ProcessFleetBackend:
                 else:
                     continue
             if message[0] == "error":
-                reason = message[3] if len(message) > 3 else "task"
-                raise TaskFailed(message[2], reason=reason)
+                raise TaskFailed(message[2])
             _, done_id, elapsed, executions, dtype, shape, spans = message
             if done_id != task_id:
                 continue  # stale pre-timeout result; keep waiting for ours

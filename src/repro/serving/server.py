@@ -71,11 +71,9 @@ from ..faults import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from ..engine.runner import run_partial_groups
 from ..models.registry import MODEL_REGISTRY, available_models
-from ..telemetry.trace import (NULL_TRACER, TelemetryConfig, Tracer,
-                               attach_tape_sink)
-from ._session import FleetReport, ServedRequest, _ServeSession
+from ..telemetry.trace import NULL_TRACER, TelemetryConfig, Tracer
+from ._session import FleetReport, ServedRequest, _ServeSession, timed_run
 from .admission import AdmissionController, AdmissionPolicy, EwmaCostModel
 from .batcher import BatchingPolicy
 from .cache import PlanCache
@@ -91,14 +89,13 @@ _FAULT_PLANE_TYPES = {"telemetry": TelemetryConfig, "faults": FaultPlan,
                       "retry": RetryPolicy, "breaker": BreakerPolicy}
 
 
-def _tape_spans(tracer, telemetry, engine, worker_index: int,
-                wall_origin: float, base: float):
-    """Record ``engine``'s tape instructions as spans on the worker's tape
-    lane while a traced batch runs.  Instructions are stamped on the wall
-    clock; a stamp ``t`` lands at ``base + (t - wall_origin)`` on the trace
-    clock.  Returns the detach callable, or ``None`` when tape spans are off
-    or the engine runs no tape (a steps-mode engine)."""
-    if telemetry is None or not telemetry.tape_spans or engine.tape is None:
+def _tape_spans(tracer, telemetry, worker_index: int, wall_origin: float,
+                base: float):
+    """The :func:`timed_run` ``emit`` that records tape instructions as spans
+    on the worker's tape lane.  Instructions are stamped on the wall clock;
+    a stamp ``t`` lands at ``base + (t - wall_origin)`` on the trace clock.
+    ``None`` when tape spans are off."""
+    if telemetry is None or not telemetry.tape_spans:
         return None
     lane = f"worker-{worker_index}-tape"
 
@@ -106,7 +103,7 @@ def _tape_spans(tracer, telemetry, engine, worker_index: int,
         tracer.record(name, "tape", base + (t0 - wall_origin),
                       base + (t1 - wall_origin), lane=lane, args=args)
 
-    return attach_tape_sink(engine, emit)
+    return emit
 
 
 def _check_fault_plane(**values) -> None:
@@ -454,16 +451,10 @@ class FleetServer:
             batch_traced = tracer.enabled and any(
                 r.request_id in session.traced for r in batch)
             # Tape spans land on the virtual clock relative to the launch.
-            detach = (_tape_spans(tracer, telemetry, engine, worker_index,
-                                  time.perf_counter(), launch_t)
-                      if batch_traced else None)
-            try:
-                start = time.perf_counter()
-                output = engine.run_partial(images)
-                measured = time.perf_counter() - start
-            finally:
-                if detach is not None:
-                    detach()
+            emit = (_tape_spans(tracer, telemetry, worker_index,
+                                time.perf_counter(), launch_t)
+                    if batch_traced else None)
+            (codes,), _, _, measured = timed_run(engine, [images], emit)
             compute = (self.compute_time_fn(model, fill)
                        if self.compute_time_fn is not None else measured)
             if event is not None and event.kind == "slow_task":
@@ -483,7 +474,7 @@ class FleetServer:
                               args={"fill": fill,
                                     "batch_index": session.batch_index,
                                     "compute_ms_wall": measured * 1e3})
-            session.complete_batch(worker_index, model, batch, output.codes,
+            session.complete_batch(worker_index, model, batch, codes,
                                    compute, launch_t, finish)
 
         # Every modeled crash or hang cost one respawn.
@@ -523,11 +514,16 @@ class FleetServer:
                     pacer, injector) -> FleetReport:
         """Wall-clock serving: N dispatch workers draining real queues.
 
-        **Faults & supervision.** With ``retry`` set the dispatch workers
-        are supervised: a :class:`~repro.faults.FaultError` from a dispatch
-        (a crashed or hung worker process, an injected task error) fails the
-        claimed batches, requeues their requests up to the retry budget,
-        backs the model off, respawns crashed process workers, and — after
+        **Faults & supervision.** Every task fault is drawn here, in the
+        parent, once per dispatch on either backend: a ``slow_task`` sleeps
+        and a ``task_error`` raises before the batch runs; a crash or hang
+        raises in-process on the thread backend and is handed to the worker
+        process, which acts it out, on the process backend.  With ``retry``
+        set the dispatch workers are supervised: a
+        :class:`~repro.faults.FaultError` from a dispatch (a crashed or hung
+        worker process, an injected task error) fails the claimed batches,
+        requeues their requests up to the retry budget, backs the model
+        off, respawns crashed process workers, and — after
         ``retry.degrade_after`` consecutive failures on one model — degrades
         that model to the in-process thread path.  Without ``retry`` the
         typed fault error propagates to the caller unchanged.
@@ -601,7 +597,6 @@ class FleetServer:
                      for m in needed}
             proc_backend = ProcessFleetBackend(
                 specs, artifact_paths, workers=self.workers,
-                faults=session.plan,
                 task_timeout_s=(retry.task_timeout_s if retry is not None
                                 else 60.0),
                 max_respawns=(retry.max_respawns if retry is not None else 2),
@@ -651,53 +646,53 @@ class FleetServer:
                     trace_batch: bool = False):
             """Run megabatch groups; returns (per-group codes, passes, seconds).
 
-            With ``trace_batch`` the process backend ships its worker-side
-            spans back with the result (clamped into the parent-observed
-            dispatch window), and the thread backend attaches a tape sink
-            when ``telemetry.tape_spans`` asks for instruction spans.
+            Draws the dispatch's task fault first; degraded models and dead
+            slots, which run in-process as fallbacks, draw none.  With
+            ``trace_batch`` the process backend ships its worker-side spans
+            back with the result (clamped into the parent-observed dispatch
+            window), and the thread backend records tape spans when
+            ``telemetry.tape_spans`` asks for them.
             """
-            if (proc_backend is not None and model not in degraded_models
-                    and worker_index not in dead_workers):
+            fallback = model in degraded_models or worker_index in dead_workers
+            remote = proc_backend is not None and not fallback
+            event = (injector.poll(worker_index, model)
+                     if injector is not None and not fallback else None)
+            kind = event.kind if event is not None else None
+            fault = None
+            if kind == "slow_task":           # straggle, then run
+                with lock:
+                    session.note_fault("slow_task")
+                time.sleep(event.duration_s)
+            elif kind == "task_error":
+                raise InjectedFault(event)
+            elif kind is not None and remote:  # the worker process acts it out
+                fault = (kind, event.duration_s)
+            elif kind == "worker_crash":
+                raise WorkerCrashed(
+                    f"injected crash on worker {worker_index} ({model})")
+            elif kind == "task_hang":
+                limit = (min(event.duration_s, retry.task_timeout_s)
+                         if retry is not None else event.duration_s)
+                time.sleep(limit)
+                raise WorkerTimeout(f"injected hang on worker {worker_index} "
+                                    f"({model}) exceeded {limit:.3f}s")
+            if remote:
                 trace_req = None
                 if trace_batch:
                     trace_req = {"now": now_s(),
                                  "tape": bool(telemetry is not None
                                               and telemetry.tape_spans)}
                 group_codes, executions, elapsed, spans = proc_backend.run(
-                    worker_index, model, images, trace=trace_req)
+                    worker_index, model, images, trace=trace_req, fault=fault)
                 if trace_req is not None and spans:
                     tracer.adopt(spans, clamp=(trace_req["now"], now_s()))
                 return group_codes, executions, elapsed
-            if injector is not None and proc_backend is None:
-                # Thread backend: injection happens parent-side (the process
-                # backend's workers carry their own injectors).
-                event = injector.poll(worker_index, model)
-                if event is not None and event.kind != "slow_task":
-                    if event.kind == "task_hang":
-                        limit = (min(event.duration_s, retry.task_timeout_s)
-                                 if retry is not None else event.duration_s)
-                        time.sleep(limit)
-                        raise WorkerTimeout(
-                            f"injected hang on worker {worker_index} "
-                            f"({model}) exceeded {limit:.3f}s")
-                    if event.kind == "worker_crash":
-                        raise WorkerCrashed(
-                            f"injected crash on worker {worker_index} ({model})")
-                    raise InjectedFault(event)
-                if event is not None:   # slow_task: straggle, then run
-                    time.sleep(event.duration_s)
-            detach = (_tape_spans(tracer, telemetry, engines[model],
-                                  worker_index, serve_start, 0.0)
-                      if trace_batch else None)
-            try:
-                start = time.perf_counter()
-                group_outputs, executions = run_partial_groups(engines[model],
-                                                               images)
-                elapsed = time.perf_counter() - start
-            finally:
-                if detach is not None:
-                    detach()
-            return [out.codes for out in group_outputs], executions, elapsed
+            emit = (_tape_spans(tracer, telemetry, worker_index, serve_start,
+                                0.0)
+                    if trace_batch else None)
+            group_codes, executions, _, elapsed = timed_run(engines[model],
+                                                            images, emit)
+            return group_codes, executions, elapsed
 
         def handle_failure(worker_index: int, model: str, groups,
                            exc: BaseException, claim_t: float) -> None:
@@ -874,9 +869,5 @@ class FleetServer:
             supervisor=(supervisor_stats if supervisor_stats is not None
                         else {"crashes": 0, "timeouts": 0, "respawns": 0,
                               "respawn_counts": [], "respawn_s": []}),
-            # Parent-side injector stats are only meaningful on the thread
-            # backend; process workers carry their own injectors.
-            injected=(injector.stats()
-                      if injector is not None and self.backend != "process"
-                      else None),
+            injected=injector.stats() if injector is not None else None,
             degraded_models=degraded_models, dead_workers=dead_workers)

@@ -332,10 +332,3 @@ class TestTQTQuantizerModule:
         q = TQTQuantizer(QuantConfig(bits=8, power_of_2=False))
         with pytest.raises(ValueError):
             _ = q.fractional_length
-
-    def test_unfused_module_path(self, rng):
-        config = QuantConfig(bits=8)
-        fused = TQTQuantizer(config, init_log2_t=0.3, fused=True)
-        unfused = TQTQuantizer(config, init_log2_t=0.3, fused=False)
-        x = Tensor(rng.standard_normal(64))
-        np.testing.assert_allclose(fused(x).data, unfused(x).data, atol=1e-12)

@@ -127,18 +127,6 @@ def test_injector_addressed_event_fires_exactly_at_its_coordinates():
     assert stats["pending"] == 0
 
 
-def test_injector_task_offset_resumes_a_respawned_workers_counter():
-    plan = FaultPlan(events=(FaultEvent("worker_crash", worker=0,
-                                        task_index=1),))
-    first = plan.injector(worker=0)
-    assert first.poll(0) is None
-    assert first.poll(0).kind == "worker_crash"   # ordinal 1: fires
-    # The respawned worker resumes at ordinal 2 — the consumed event is
-    # behind its counter, so it never re-fires.
-    respawned = plan.injector(worker=0, task_offset=2)
-    assert all(respawned.poll(0) is None for _ in range(8))
-
-
 def test_floating_event_fires_count_times_on_any_worker():
     plan = FaultPlan(events=(FaultEvent("task_error", count=2),))
     injector = plan.injector()
@@ -154,7 +142,7 @@ def test_seeded_plan_is_reproducible_and_pickles():
     plan_b = FaultPlan.seeded(7, **kwargs)
     assert plan_a.events == plan_b.events
     assert plan_a.events != FaultPlan.seeded(8, **kwargs).events
-    # spawn-context workers receive the plan by pickle
+    # plans are plain values: they pickle unchanged
     clone = pickle.loads(pickle.dumps(plan_a))
     assert clone.events == plan_a.events
 
@@ -282,18 +270,26 @@ def test_virtual_breaker_sheds_fast_into_a_sick_model():
     server.close()
 
 
-def test_slow_task_fault_degrades_latency_not_codes():
+@pytest.mark.parametrize("backend", ["virtual", "thread", "process"])
+def test_slow_task_fault_degrades_latency_not_codes(backend):
     requests = _requests(n=8)
+    # The straggle outlasts the recv deadline: on every backend a slow task
+    # is late, never a hang, a retry or a respawn.
+    slow_s = RETRY.task_timeout_s + 0.25
     plan = FaultPlan(events=(FaultEvent("slow_task", worker=0, task_index=0,
-                                        duration_s=0.5),))
-    server = _server("virtual", compute_time_fn=FIXED_COST)
-    baseline = server.serve(requests)
+                                        duration_s=slow_s),))
+    virtual = _server("virtual", compute_time_fn=FIXED_COST)
+    baseline = virtual.serve(requests)
+    server = (virtual if backend == "virtual"
+              else _server("real", backend=backend))
     slowed = server.serve(requests, faults=plan, retry=RETRY)
+    server.close()
     assert slowed.completed == len(requests)
     assert _assert_codes_match(slowed, baseline) == len(requests)
-    assert slowed.metrics["makespan_s"] > baseline.metrics["makespan_s"]
-    assert slowed.faults["observed"]["slow_task"] == 1
-    server.close()
+    assert slowed.metrics["makespan_s"] >= slow_s
+    assert slowed.faults["observed"] == {"slow_task": 1}
+    assert slowed.metrics["fleet"]["retries"] == 0
+    assert slowed.faults["supervisor"]["respawns"] == 0
 
 
 # ---------------------------------------------------------------------- #
@@ -303,10 +299,10 @@ def test_slow_task_fault_degrades_latency_not_codes():
 _BATCH_FAULTS = ("worker_crash", "task_hang", "task_error")
 
 
-def _seeded_plan(seed: int, workers: int) -> FaultPlan:
+def _seeded_plan(seed: int, workers: int, hang_s: float = 0.02) -> FaultPlan:
     return FaultPlan.seeded(seed, workers=workers, horizon_tasks=24,
                             crash_rate=0.05, hang_rate=0.05, error_rate=0.15,
-                            slow_rate=0.1, hang_s=0.02, slow_s=0.002)
+                            slow_rate=0.1, hang_s=hang_s, slow_s=0.002)
 
 
 def _assert_lifecycle_invariants(report, requests, baseline,
@@ -401,16 +397,14 @@ def test_process_backend_run_times_out_instead_of_blocking():
     paths, tmpdir = server._export_artifacts(["lenet_nano"])
     specs = {"lenet_nano": {"input_shape": tuple(engine.input_shape),
                             "output_shape": tuple(engine.output_shape)}}
-    plan = FaultPlan(events=(FaultEvent("task_hang", worker=0, task_index=0,
-                                        duration_s=30.0),))
     backend = ProcessFleetBackend(specs, paths, workers=1,
-                                  task_timeout_s=0.5, faults=plan)
+                                  task_timeout_s=0.5)
     backend.start()
     try:
         images = [np.zeros((4, 3, IMAGE_SIZE, IMAGE_SIZE))]
         start = time.perf_counter()
         with pytest.raises(WorkerTimeout):
-            backend.run(0, "lenet_nano", images)
+            backend.run(0, "lenet_nano", images, fault=("task_hang", 30.0))
         assert time.perf_counter() - start < 10.0   # detected, not waited out
         assert backend.fault_stats()["timeouts"] == 1
     finally:
@@ -603,8 +597,11 @@ def test_chaos_acceptance_process_fleet_recovers_bit_identical():
     assert supervisor["respawns"] >= 2
     assert len(supervisor["respawn_s"]) == supervisor["respawns"]
     assert all(s > 0.0 for s in supervisor["respawn_s"])
-    assert faults["observed"]["worker_crash"] >= 1
-    assert faults["observed"]["task_hang"] >= 1
+    # One draw per task, in the parent: the fleet observes exactly the
+    # schedule the injector handed out, and no model degrades.
+    assert faults["observed"] == faults["injected"]["injected"] == {
+        "worker_crash": 1, "task_hang": 1, "task_error": 1}
+    assert faults["degraded_models"] == []
     assert faults["retried_requests"] > 0
     assert report.metrics["fleet"]["retries"] > 0
 
@@ -621,6 +618,39 @@ def test_chaos_acceptance_process_fleet_recovers_bit_identical():
     completed = [o for o in report.outcomes if o.completed]
     retried = [o for o in completed if o.retries > 0]
     assert retried, "some completed request must have been retried"
+
+
+def test_floating_event_fires_count_times_per_serve_on_the_process_fleet():
+    # The parent draws every task fault once, so a floating event fires
+    # ``count`` times per serve — not once per worker process.
+    requests = _requests(n=32)
+    plan = FaultPlan(events=(FaultEvent("task_error", count=1),))
+    server = _server("real", backend="process", workers=2)
+    report = server.serve(requests, faults=plan, retry=RETRY)
+    server.close()
+    assert report.faults["observed"] == {"task_error": 1}
+    assert report.faults["injected"]["injected"] == {"task_error": 1}
+    assert report.completed == len(requests)
+    assert not mp.active_children()
+
+
+@pytest.mark.parametrize("seed", [3, 25])
+def test_seeded_fault_schedules_replay_on_the_live_process_fleet(seed):
+    requests = _requests(n=48)
+    virtual = _server("virtual", compute_time_fn=FIXED_COST)
+    baseline = virtual.serve(requests)
+    virtual.close()
+    retry = RetryPolicy(max_attempts=3, task_timeout_s=0.5, backoff_s=1e-3,
+                        respawn_backoff_s=1e-3)
+    server = _server("real", backend="process", workers=2)
+    # Hangs outlast the recv deadline, so each one is a timeout + respawn.
+    report = server.serve(requests, faults=_seeded_plan(seed, 2, hang_s=1.0),
+                          retry=retry,
+                          telemetry=TelemetryConfig(sample_rate=1.0))
+    server.close()
+    _assert_lifecycle_invariants(report, requests, baseline, retry)
+    assert report.faults["observed"] == report.faults["injected"]["injected"]
+    assert not mp.active_children()
 
 
 def test_degradation_falls_back_to_in_process_execution():
