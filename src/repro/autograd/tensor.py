@@ -415,13 +415,6 @@ class Tensor:
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         return -((-self).max(axis=axis, keepdims=keepdims))
 
-    # Convenience float reductions bypassing autograd (read-only stats).
-    def abs_max(self) -> float:
-        return float(np.abs(self.data).max())
-
-    def std_value(self) -> float:
-        return float(self.data.std())
-
 
 def _raw(value) -> np.ndarray:
     return value.data if isinstance(value, Tensor) else np.asarray(value)

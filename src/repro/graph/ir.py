@@ -273,11 +273,6 @@ class GraphBuilder:
 
     def __init__(self, name: str = "graph") -> None:
         self.graph = GraphIR(name)
-        self._counter = 0
-
-    def _unique(self, prefix: str) -> str:
-        self._counter += 1
-        return f"{prefix}_{self._counter}"
 
     def input(self, name: str = "input") -> str:
         self.graph.add_node(Node(name=name, op=OpKind.INPUT))

@@ -90,9 +90,6 @@ class Module:
     def children(self) -> list["Module"]:
         return list(self._modules.values())
 
-    def named_children(self) -> list[tuple[str, "Module"]]:
-        return list(self._modules.items())
-
     def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
         for name, buf in self._buffers.items():
             yield (f"{prefix}{name}", buf)

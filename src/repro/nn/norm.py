@@ -38,9 +38,6 @@ class BatchNorm2d(Module):
         """Stop updating running statistics (Section 5.2: freeze after 1 epoch)."""
         self.frozen = True
 
-    def unfreeze_statistics(self) -> None:
-        self.frozen = False
-
     def effective_scale_offset(self) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(scale, offset)`` such that ``y = scale * x + offset`` at
         inference time.  Used by the BN-folding transform."""

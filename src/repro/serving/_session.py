@@ -1,13 +1,14 @@
 """The request lifecycle of one serve run, shared by both serve drivers.
 
 What happens to a request — breaker shed, admission, preemption, queueing,
-batch fault, retry-or-fail, completion — and every metric, outcome and
-request-lane span those steps emit is decided here, once.  The two drivers
-in :mod:`repro.serving.server` report what happened through the four
-transitions of :class:`_ServeSession` (``admit`` / ``fail_batch`` /
-``complete_batch`` / ``report``).  They share this lifecycle, not the
-dispatch rule: which batch launches when is each driver's own (see the
-module docstring of :mod:`repro.serving.server`).
+expiry, batch fault, retry-or-fail, completion — and every metric, outcome
+and request-lane span those steps emit is decided here, once.  The two
+drivers in :mod:`repro.serving.server` report what happened through the
+five transitions of :class:`_ServeSession` (``admit`` / ``expire`` /
+``fail_batch`` / ``complete_batch`` / ``report``).  They share this
+lifecycle, not the dispatch rule: which batch launches when is each
+driver's own (see the module docstring of :mod:`repro.serving.server`);
+only the wall driver calls ``expire`` so far.
 
 Every transition takes one stamp per instant from the driver, on one
 clock: the virtual clock, or wall seconds since the serve started.
@@ -70,7 +71,9 @@ class ServedRequest:
     status: str                          # "completed" | "shed" | "failed"
     latency_s: float | None = None
     codes: np.ndarray | None = None
-    shed_reason: str | None = None       # "queue_full" | "slo" | "preempted" | "breaker"
+    #: "queue_full" | "slo" | "breaker" at admission; "preempted" |
+    #: "expired" from the queue
+    shed_reason: str | None = None
     batch_index: int | None = None
     batch_fill: int | None = None
     worker_index: int | None = None      # dispatch worker that ran the batch
@@ -160,7 +163,7 @@ class FleetReport:
 
 
 class _ServeSession:
-    """Per-run lifecycle state and the four transitions that mutate it.
+    """Per-run lifecycle state and the five transitions that mutate it.
 
     Not thread-safe on its own: the wall-clock driver calls every
     transition under its scheduler lock (one acquisition per ingested
@@ -222,10 +225,10 @@ class _ServeSession:
         if span_start is None:
             return
         lane = f"req-{req.request_id}"
-        if reason == "preempted":   # the only shed that spent time queued
+        if reason in ("preempted", "expired"):   # sheds that spent time queued
             self.tracer.record("queue", "queue", span_start, now,
                                lane=lane, trace_id=req.request_id,
-                               args={"outcome": "preempted"})
+                               args={"outcome": reason})
         self.tracer.record("request", "request", span_start, now,
                            lane=lane, trace_id=req.request_id,
                            args={"status": "shed", "reason": reason,
@@ -278,6 +281,28 @@ class _ServeSession:
                 done.append(req.request_id)
         self.metrics.record_queue_depth(now, self.depth())
         return done
+
+    def expire(self, model: str, now: float, cost_s: float) -> list[int]:
+        """Shed each head of ``model``'s queue that can no longer meet its
+        deadline at ``now`` if a batch costing ``cost_s`` started now.
+
+        Admission's SLO gate, applied again at dispatch: it runs only under
+        ``slo_shed``, never expires a request without a deadline, and stops
+        at the first head that can still make it.  Returns the shed ids.
+        """
+        expired: list[int] = []
+        if not self.admission.policy.slo_shed:
+            return expired
+        queue = self.queues[model]
+        while (req := queue.head) is not None and req.deadline_s is not None \
+                and self._origin(req) + req.deadline_s < now + cost_s:
+            queue.remove(req)
+            self._shed(req, "expired", now,
+                       self.traced.pop(req.request_id, None))
+            expired.append(req.request_id)
+        if expired:
+            self.metrics.record_queue_depth(now, self.depth())
+        return expired
 
     def fail_batch(self, worker: int, model: str, batch: list[Request],
                    kind: str, start: float,

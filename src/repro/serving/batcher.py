@@ -91,6 +91,11 @@ class DynamicBatcher:
         """Arrival time of the oldest queued request (inf when empty)."""
         return self._queue[0].arrival_s if self._queue else math.inf
 
+    @property
+    def head(self) -> Request | None:
+        """The oldest queued request (``None`` when empty)."""
+        return self._queue[0] if self._queue else None
+
     def push(self, request: Request) -> None:
         if request.model != self.model:
             raise ValueError(f"request for {request.model!r} routed to the "
@@ -156,7 +161,8 @@ class DynamicBatcher:
         return candidate
 
     def remove(self, request: Request) -> None:
-        """Drop one queued request (a preemption victim) by identity."""
+        """Drop one queued request (a preemption victim, or an expired head
+        — O(1) at index 0) by identity."""
         for index, queued in enumerate(self._queue):
             if queued is request:
                 del self._queue[index]

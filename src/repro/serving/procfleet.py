@@ -214,6 +214,9 @@ class ProcessFleetBackend:
         self._processes: list = [None] * self.workers
         self._task_counter = 0
         self._respawn_counts = [0] * self.workers
+        #: slots whose last task timed out: the worker may still be inside
+        #: it and will not read a stop message until it returns
+        self._stuck = [False] * self.workers
         self._respawn_s: list[float] = []
         self._crashes = 0
         self._timeouts = 0
@@ -309,6 +312,7 @@ class ProcessFleetBackend:
             # feeder thread flushing to a pipe nobody reads.
             retired.cancel_join_thread()
         self._spawn_worker(worker_index)
+        self._stuck[worker_index] = False
         self._wait_ready(worker_index)
         elapsed = time.perf_counter() - start
         self._respawn_s.append(elapsed)
@@ -392,6 +396,7 @@ class ProcessFleetBackend:
                             f"{task_id} on {model!r}") from None
                 elif time.monotonic() >= deadline:
                     self._timeouts += 1
+                    self._stuck[worker_index] = True
                     raise WorkerTimeout(
                         f"worker {worker_index} produced no result for task "
                         f"{task_id} on {model!r} within "
@@ -417,21 +422,28 @@ class ProcessFleetBackend:
     def close(self) -> None:
         """Stop the workers and release the arenas (idempotent).
 
-        Arena close + unlink runs in a ``finally`` so shared-memory
-        segments are released even when a worker ignores the stop message,
-        outlives ``_JOIN_TIMEOUT_S`` and has to be terminated — or when
-        queue teardown itself raises.
+        A worker whose last task timed out is terminated at once: it may
+        still be inside that task and would read a stop message only when
+        it returns.  Arena close + unlink runs in a ``finally`` so
+        shared-memory segments are released even when a worker ignores the
+        stop message, outlives ``_JOIN_TIMEOUT_S`` and has to be terminated
+        — or when queue teardown itself raises.
         """
         if self._closed:
             return
         self._closed = True
         try:
-            for task_queue, process in zip(self._task_queues, self._processes):
-                if process is not None and process.is_alive():
-                    try:
-                        task_queue.put(("stop",))
-                    except (OSError, ValueError):
-                        pass
+            for task_queue, process, stuck in zip(
+                    self._task_queues, self._processes, self._stuck):
+                if process is None or not process.is_alive():
+                    continue
+                if stuck:
+                    process.terminate()
+                    continue
+                try:
+                    task_queue.put(("stop",))
+                except (OSError, ValueError):
+                    pass
             for process in self._processes:
                 if process is None:
                     continue

@@ -8,11 +8,11 @@ through :func:`repro.deploy.compile`, LRU eviction, optional disk-backed
 artifact tier), and arrivals pass through
 :class:`~repro.serving.admission.AdmissionController` before queueing.
 
-The request lifecycle (shed, admit, preempt, queue, fail-or-retry, complete,
-with the metrics, outcomes and request spans of each step) lives once, in
-the per-run :class:`~repro.serving._session._ServeSession`.  This module
-holds the two *drivers* that feed it.  Each stamps every transition on its
-own single clock, and each has its own dispatch rule:
+The request lifecycle (shed, admit, preempt, queue, expire, fail-or-retry,
+complete, with the metrics, outcomes and request spans of each step) lives
+once, in the per-run :class:`~repro.serving._session._ServeSession`.  This
+module holds the two *drivers* that feed it.  Each stamps every transition
+on its own single clock, and each has its own dispatch rule:
 
 * :meth:`FleetServer._serve_virtual` (``execution="virtual"``, the default)
   is a discrete-event scheduler that interleaves two event kinds in time
@@ -30,15 +30,18 @@ own single clock, and each has its own dispatch rule:
   (``backend="thread"``) or proxying to worker processes
   (``backend="process"``, see :mod:`repro.serving.procfleet`) — and reports
   measured throughput and latency.  A worker never waits for a batch to
-  form: it claims the deepest idle queue and packs several policy batches
-  into one engine pass when the backlog allows (megabatching).  It owns
-  the scheduler lock, supervision and the pacers of
-  :mod:`repro.serving.workload`.
+  form: it first sheds every idle queue's heads that can no longer meet
+  their deadline (reason ``"expired"``), then claims the deepest idle
+  queue and packs several policy batches into one engine pass when the
+  backlog allows (megabatching).  It owns the scheduler lock, supervision
+  and the pacers of :mod:`repro.serving.workload`.
 
 So the drivers share the lifecycle, not the dispatch rule.  ``max_wait_s``
 reaches the wall driver only as the ``formation`` term of
 :meth:`~repro.serving.admission.AdmissionController.predicted_latency_s`,
-a wait it never pays.
+a wait it never pays.  Expiry is admission's SLO gate applied again at
+dispatch, so it runs only under ``AdmissionPolicy.slo_shed``; the virtual
+driver runs every request it admitted.
 
 One concurrency knob: ``workers=N`` dispatch workers.  Batches for
 *different models* launch concurrently (each model still serializes on its
@@ -539,7 +542,10 @@ class FleetServer:
         from each request's release instant.
 
         **Drain.** The dispatch workers drain the queues concurrently: each
-        worker claims the deepest idle model's queue, pops up to
+        worker first expires the queue heads that no batch could finish by
+        their deadline any more (:meth:`_ServeSession.expire`), so the
+        engine never runs an answer that already counts as late, then
+        claims the deepest idle model's queue, pops up to
         ``max_batch`` requests (packing **several** policy batches into one
         tape execution when the backlog allows — megabatch coalescing), and
         runs the model's engine outside the scheduler lock.  With
@@ -568,7 +574,7 @@ class FleetServer:
         failures: list[BaseException] = []
         #: fault plane (guarded by the scheduler lock unless noted)
         supervised = retry is not None
-        #: model -> wall deadline (perf_counter) before which pop_work skips it
+        #: model -> stamp (on now_s) before which pop_work skips it
         model_hold: dict[str, float] = {}
         degraded_models: set[str] = set()
         dead_workers: set[int] = set()
@@ -604,8 +610,12 @@ class FleetServer:
                                    if retry is not None else 0.05))
             proc_backend.start()
 
-        def pop_work():
+        def pop_work(expired: list[int]):
             """Claim the deepest idle queue; returns (model, policy batches).
+
+            Every idle queue first expires its hopeless heads, priced at the
+            model's full-batch cost estimate; their ids go on ``expired``
+            for the caller to hand the pacer once the lock is released.
 
             Under the full-batch policy a short queue is a final partial
             batch (the stream has drained or a timeout fires), so it
@@ -613,7 +623,7 @@ class FleetServer:
             end-of-stream semantics.
             """
             best_model = None
-            now_wall = time.perf_counter() if model_hold else 0.0
+            now = now_s()
             for model in needed:
                 queue = queues[model]
                 if model_busy[model] or not queue.depth:
@@ -622,9 +632,17 @@ class FleetServer:
                 if hold is not None:
                     # Retry backoff: the model sits out until its hold
                     # expires (waiters use a timed wait while holds exist).
-                    if hold > now_wall:
+                    if hold > now:
                         continue
                     del model_hold[model]
+                shed = session.expire(model, now,
+                                      self.cost_model.estimate(model))
+                if shed:
+                    expired.extend(shed)
+                    # Waiters may be waiting only for this backlog to drain.
+                    work_ready.notify_all()
+                    if not queue.depth:
+                        continue
                 if best_model is None or queue.depth > queues[best_model].depth:
                     best_model = model
             if best_model is None:
@@ -711,7 +729,7 @@ class FleetServer:
                 streak, backoff, failed_ids = session.fail_batch(
                     worker_index, model, claimed, kind, claim_t, end)
                 if backoff > 0.0:
-                    model_hold[model] = time.perf_counter() + backoff
+                    model_hold[model] = end + backoff
                 model_busy[model] = False
                 work_ready.notify_all()
             if tracer.enabled:
@@ -753,9 +771,10 @@ class FleetServer:
 
         def worker(worker_index: int) -> None:
             while True:
+                expired: list[int] = []
                 with work_ready:
-                    claim = pop_work()
-                    while claim is None:
+                    claim = pop_work(expired)
+                    while claim is None and not expired:
                         if failures or not (ingesting or session.depth()):
                             return
                         if model_hold:
@@ -763,7 +782,14 @@ class FleetServer:
                             work_ready.wait(timeout=0.02)
                         else:
                             work_ready.wait()
-                        claim = pop_work()
+                        claim = pop_work(expired)
+                # A closed-loop pacer must get expired slots back before
+                # this worker waits again, or ingestion could stall on them.
+                if pacer is not None:
+                    for request_id in expired:
+                        pacer.on_completion(request_id)
+                if claim is None:
+                    continue
                 model, groups = claim
                 claim_t = now_s()
                 batch_traced = tracer.enabled and any(

@@ -144,7 +144,8 @@ def prometheus_text(report: dict, namespace: str = "repro",
                 "Requests completed, by model.",
                 [({"model": m}, s["completed"]) for m, s in per_model.items()])
     expo.family(f"{namespace}_shed_total", "counter",
-                "Requests shed at admission, by model and reason.",
+                "Requests shed at admission or from the queue "
+                "(preempted, expired), by model and reason.",
                 [({"model": m, "reason": reason}, count)
                  for m, s in per_model.items()
                  for reason, count in sorted(s.get("shed", {}).items())])

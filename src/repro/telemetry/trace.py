@@ -142,11 +142,6 @@ class Trace:
     def by_trace_id(self, trace_id: int) -> list[Span]:
         return [span for span in self.spans if span.trace_id == trace_id]
 
-    def to_chrome(self) -> dict:
-        """Chrome ``trace_event`` JSON object (Perfetto/about:tracing)."""
-        from .export import chrome_trace
-        return chrome_trace(self)
-
     def save(self, path) -> Path:
         """Write the Chrome trace JSON to ``path``; returns the path."""
         from .export import write_chrome_trace

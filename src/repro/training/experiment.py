@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from ..data import DataLoader, Preprocessor, SyntheticImageNet, sample_calibration_batches
 from ..graph import GraphIR, clone_graph, prepare_retrain, quantize_static, transforms
 from ..models import MODEL_REGISTRY, avgpool_channel_hints, build_model
-from ..quant.config import INT4_PRECISION, INT8_PRECISION, LayerPrecision
+from ..quant.config import INT8_PRECISION, LayerPrecision
 from .evaluator import Evaluator
 from .hparams import PaperHyperparameters
 from .trainer import Trainer, TrainingResult
@@ -178,20 +178,6 @@ class ExperimentRunner:
                             f"{precision.weight_bits}/{precision.activation_bits}",
                             result.best_top1, result.best_top5, result.best_epoch)
         return trial, result
-
-    # ------------------------------------------------------------------ #
-    def run_table3_trials(self, include_int4: bool = True) -> list[TrialResult]:
-        """All Table 3 rows for this network, in the paper's order."""
-        rows = [self.evaluate_fp32(), self.run_static(INT8_PRECISION),
-                self.run_retrain_fp32()]
-        wt_int8, _ = self.run_retrain("wt", INT8_PRECISION)
-        rows.append(wt_int8)
-        wtth_int8, _ = self.run_retrain("wt,th", INT8_PRECISION)
-        rows.append(wtth_int8)
-        if include_int4:
-            wtth_int4, _ = self.run_retrain("wt,th", INT4_PRECISION)
-            rows.append(wtth_int4)
-        return rows
 
     @property
     def paper_name(self) -> str:

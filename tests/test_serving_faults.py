@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import sys
 import threading
 import time
 from multiprocessing import shared_memory
@@ -35,6 +36,7 @@ from repro.faults import (
 from repro.serving import (
     AdmissionPolicy,
     BatchingPolicy,
+    ClosedLoopPacer,
     FleetServer,
     OpenLoopPacer,
     PlanCache,
@@ -293,6 +295,146 @@ def test_slow_task_fault_degrades_latency_not_codes(backend):
 
 
 # ---------------------------------------------------------------------- #
+# Expiry at dispatch: the wall driver sheds a queued request once it can no
+# longer meet its deadline, instead of spending an engine pass on it
+# ---------------------------------------------------------------------- #
+EXPIRY_DEADLINE_S = 0.2
+#: the first dispatch straggles past every queued request's deadline
+STRAGGLE = FaultPlan(events=(FaultEvent("slow_task", worker=0, task_index=0,
+                                        duration_s=0.3),))
+
+
+def _deadline_flood(models=("lenet_nano",), n: int = 32,
+                    deadline_s: float | None = EXPIRY_DEADLINE_S):
+    rng = np.random.default_rng(11)
+    return [Request(i, models[i % len(models)], 0.0,
+                    rng.standard_normal((3, IMAGE_SIZE, IMAGE_SIZE)),
+                    deadline_s=deadline_s)
+            for i in range(n)]
+
+
+def _expiry_server(backend: str = "thread", **admission) -> FleetServer:
+    return _server("real", backend=backend, workers=1,
+                   admission=AdmissionPolicy(max_queue_depth=None,
+                                             **admission))
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_wall_driver_expires_what_a_straggler_made_hopeless(backend):
+    requests = _deadline_flood()
+    virtual = _server("virtual", compute_time_fn=FIXED_COST)
+    baseline = virtual.serve(requests)
+    virtual.close()
+    server = _expiry_server(backend)
+    report = server.serve(requests, faults=STRAGGLE)
+    server.close()
+    # The straggling first batch still completes (late); every request that
+    # queued behind it is past its deadline once the worker is free again.
+    completed = [o for o in report.outcomes if o.completed]
+    shed = [o for o in report.outcomes if o.status == "shed"]
+    assert [o.request_id for o in completed] == list(range(BATCH))
+    assert {o.batch_index for o in completed} == {0}
+    assert len(shed) == len(requests) - BATCH
+    assert all(o.shed_reason == "expired" for o in shed)
+    fleet = report.metrics["fleet"]
+    assert fleet["completed"] + fleet["shed"] == fleet["arrivals"] == len(requests)
+    assert fleet["failed"] == 0
+    assert report.metrics["per_model"]["lenet_nano"]["shed"] == \
+        {"expired": len(shed)}
+    assert report.faults["observed"] == {"slow_task": 1}
+    assert _assert_codes_match(report, baseline) == len(completed)
+
+
+def _serve_within(server: FleetServer, requests, timeout_s: float = 60.0,
+                  **kwargs):
+    """``server.serve`` on a thread, failing the test if it does not return."""
+    result = {}
+    serve = threading.Thread(
+        target=lambda: result.update(report=server.serve(requests, **kwargs)),
+        daemon=True)
+    serve.start()
+    serve.join(timeout=timeout_s)
+    assert not serve.is_alive(), "the serve stalled"
+    server.close()
+    return result["report"]
+
+
+def test_expired_requests_give_their_closed_loop_slots_back():
+    # Two models on one worker: whichever model straggles first, the other
+    # model's released requests sit queued past their deadline and expire.
+    # Their slots must return to the pacer, or ingestion stalls for good.
+    requests = _deadline_flood(models=tuple(FLEET))
+    pacer = ClosedLoopPacer(requests, concurrency=4)
+    report = _serve_within(_expiry_server(), requests, pacing=pacer,
+                           faults=STRAGGLE)
+    assert report.pacing == "closed"
+    assert any(o.shed_reason == "expired" for o in report.outcomes)
+    fleet = report.metrics["fleet"]
+    assert fleet["completed"] + fleet["shed"] == len(requests)
+    assert fleet["failed"] == 0
+    assert pacer.max_outstanding <= 4
+
+
+def test_expiry_keeps_every_request_terminal_once_under_thread_contention():
+    # More dispatch workers than cores and a short switch interval: expiry,
+    # claims and completions interleave under the scheduler lock, and no
+    # request may be lost, run after it expired, or expire twice.
+    requests = _deadline_flood(models=tuple(FLEET), n=96)
+    virtual = _server("virtual", compute_time_fn=FIXED_COST)
+    baseline = virtual.serve(requests)
+    virtual.close()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = _serve_within(
+            _server("real", backend="thread", workers=4,
+                    admission=AdmissionPolicy(max_queue_depth=None)),
+            # the fleet's first dispatch straggles, on whichever worker
+            requests, faults=FaultPlan(events=(FaultEvent(
+                "slow_task", duration_s=0.3),)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [o.request_id for o in report.outcomes] == list(range(len(requests)))
+    shed = [o for o in report.outcomes if o.status == "shed"]
+    assert shed and all(o.shed_reason == "expired" for o in shed)
+    fleet = report.metrics["fleet"]
+    assert fleet["completed"] + fleet["shed"] == fleet["arrivals"] == len(requests)
+    assert sum(m["shed"].get("expired", 0)
+               for m in report.metrics["per_model"].values()) == len(shed)
+    assert _assert_codes_match(report, baseline) == fleet["completed"]
+
+
+def test_expired_requests_close_their_span_lanes():
+    requests = _deadline_flood()
+    server = _expiry_server()
+    report = server.serve(requests, faults=STRAGGLE,
+                          telemetry=TelemetryConfig(sample_rate=1.0))
+    server.close()
+    expired = [o for o in report.outcomes if o.shed_reason == "expired"]
+    assert expired
+    for outcome in expired:
+        lane = report.trace.by_trace_id(outcome.request_id)
+        # It queued, then left the queue without an engine pass.
+        assert [s.cat for s in lane].count("queue") == 1
+        assert [s.cat for s in lane].count("execute") == 0
+        (request,) = [s for s in lane if s.cat == "request"]
+        assert request.args["status"] == "shed"
+        assert request.args["reason"] == "expired"
+
+
+@pytest.mark.parametrize("slo_shed, deadline_s", [(False, EXPIRY_DEADLINE_S),
+                                                  (True, None)])
+def test_expiry_is_off_without_slo_shedding_or_a_deadline(slo_shed,
+                                                          deadline_s):
+    requests = _deadline_flood(deadline_s=deadline_s)
+    server = _expiry_server(slo_shed=slo_shed)
+    report = server.serve(requests, faults=STRAGGLE)
+    server.close()
+    assert report.completed == len(requests)
+    assert report.shed == 0
+
+
+# ---------------------------------------------------------------------- #
 # Lifecycle invariants on generated fault schedules (both drivers report
 # through one session, so one set of assertions covers both clocks)
 # ---------------------------------------------------------------------- #
@@ -408,10 +550,15 @@ def test_process_backend_run_times_out_instead_of_blocking():
         assert time.perf_counter() - start < 10.0   # detected, not waited out
         assert backend.fault_stats()["timeouts"] == 1
     finally:
+        start = time.perf_counter()
         backend.close()
+        closed_in = time.perf_counter() - start
         if tmpdir is not None:
             tmpdir.cleanup()
         server.close()
+    # The worker is still asleep in the hang: close terminates it at once
+    # instead of sending a stop it cannot read and waiting out the join.
+    assert closed_in < 2.0
     assert not mp.active_children()
 
 
