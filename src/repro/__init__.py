@@ -6,8 +6,8 @@ Sub-packages
 ``repro.autograd``  NumPy reverse-mode autograd substrate (replaces TensorFlow).
 ``repro.nn``        Neural-network layers and losses.
 ``repro.optim``     Optimizers (SGD, NormedSGD, Adam, RMSProp) and LR schedules.
-``repro.quant``     TQT quantizer, baselines (FakeQuant, PACT, LSQ), calibration,
-                    fixed-point kernels, threshold freezing.
+``repro.quant``     TQT quantizer, FakeQuant baseline, calibration, fixed-point
+                    kernels, threshold freezing.
 ``repro.graph``     Graffitist-style graph IR, optimization transforms and
                     static/retrain quantization modes.
 ``repro.engine``    Integer-only inference engine: plan lowering, batched

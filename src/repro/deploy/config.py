@@ -44,6 +44,8 @@ class QuantConfig:
 
     calibration_samples: int = 16
     calibration_batch_size: int = 8
+    #: ignored (calibration is always layer by layer); deleted by the
+    #: benchmark PR, ROADMAP 2(a)
     sequential_calibration: bool = False
     precision: LayerPrecision | None = None
     seed: int = 0

@@ -74,8 +74,7 @@ def _quantize_registry(name: str, config: CompileConfig) -> tuple[GraphIR, int, 
                                              num_samples=quant.calibration_samples,
                                              batch_size=quant.calibration_batch_size,
                                              seed=quant.seed)
-    quantized = quantize_static(graph, calibration, precision=quant.precision,
-                                sequential=quant.sequential_calibration, copy=False)
+    quantized = quantize_static(graph, calibration, precision=quant.precision, copy=False)
     return quantized.graph, spec.in_channels, image_size
 
 

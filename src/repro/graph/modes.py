@@ -3,7 +3,9 @@
 * **Static mode** — thresholds come purely from calibration statistics:
   weights use MAX, activations minimize the local KL-J distance, layer by
   layer in strict topological order so every layer is calibrated against
-  already-quantized inputs.  Nothing is trained.
+  already-quantized inputs.  Nothing is trained.  One streaming pass
+  (:func:`calibrate_activations`) does this for every caller, so
+  ``deploy.compile`` deploys the same thresholds the tables evaluate.
 * **Retrain mode** — produces a quantized *training* graph.  In ``wt`` mode
   only the weights train (thresholds stay at their calibrated values); in
   ``wt,th`` mode (TQT) weights and log-thresholds train jointly on the
@@ -20,7 +22,7 @@ import numpy as np
 from ..autograd import Tensor, no_grad
 from ..quant.config import LayerPrecision
 from ..quant.qmodules import ActivationQuantizer, QuantScheme
-from .ir import GraphIR
+from .ir import GraphIR, OpKind
 from .quantize import (
     QuantizationReport,
     clone_graph,
@@ -50,71 +52,45 @@ class QuantizedModel:
     calibration_thresholds: dict[str, float]
 
 
-def _ordered_activation_quantizers(graph: GraphIR) -> list[tuple[str, ActivationQuantizer]]:
-    """Activation quantizers in graph-topological order.
+def calibrate_activations(graph: GraphIR,
+                          calibration_batches: Iterable[np.ndarray]) -> dict[str, float]:
+    """Calibrate every activation quantizer layer by layer (Section 4.2).
 
-    Quantizers attached to the same node keep their discovery order
-    (input, internal, output), which matches the data flow inside the node.
-    """
-    quantizers = collect_activation_quantizers(graph)
-    node_order = {node.name: i for i, node in enumerate(graph.topological_order())}
-
-    def sort_key(item: tuple[str, ActivationQuantizer]) -> tuple[int, str]:
-        path = item[0]
-        node_attr = path.split(".")[0]
-        node_name = node_attr.replace("node_", "", 1)
-        # Attribute names had '/', '.' and '-' replaced by '_' at registration
-        # time; fall back to a large index when the node cannot be recovered.
-        for candidate, index in node_order.items():
-            sanitized = candidate.replace("/", "_").replace(".", "_").replace("-", "_")
-            if sanitized == node_name:
-                return index, path
-        return len(node_order), path
-
-    return sorted(quantizers.items(), key=sort_key)
-
-
-def calibrate_activations(graph: GraphIR, calibration_batches: Iterable[np.ndarray],
-                          sequential: bool = True) -> dict[str, float]:
-    """Calibrate every activation quantizer from calibration data.
-
-    Parameters
-    ----------
-    graph: a graph already rewritten by :func:`quantize_graph`.
-    calibration_batches: iterable of input arrays (NCHW); re-iterated once
-        per layer in sequential mode, so pass a list.
-    sequential: calibrate layers one at a time in topological order (the
-        paper's procedure — inputs to a layer are quantized and fixed before
-        the layer itself is calibrated).  ``False`` collects statistics for
-        all layers in a single pass, which is faster but less faithful.
+    One streaming walk in topological order: each node's non-bypassed
+    quantizers are calibrated one at a time, in the order the node applies
+    them, on the node's cached inputs (already quantized upstream), and only
+    then are the node's outputs computed with every threshold locked in.  A
+    node's outputs are freed after its last consumer has run.  Bypassed
+    quantizers (the 8-bit stage a leaky ReLU suppresses) stay bypassed.
 
     Returns a mapping from quantizer path to the calibrated raw threshold.
     """
-    batches = list(calibration_batches)
+    batches = [Tensor(batch) for batch in calibration_batches]
     if not batches:
         raise ValueError("calibration requires at least one batch")
-    ordered = _ordered_activation_quantizers(graph)
+    paths = {id(q): path for path, q in collect_activation_quantizers(graph).items()}
+    order = graph.topological_order()
+    last_use = {name: index for index, node in enumerate(order) for name in node.inputs}
+    outputs: dict[str, list[Tensor]] = {}
     thresholds: dict[str, float] = {}
     graph.eval()
-
-    if sequential:
-        # Start from a fully bypassed graph, then lock in one quantizer at a time.
-        for _, quantizer in ordered:
-            quantizer.set_mode("bypass")
-        for path, quantizer in ordered:
-            quantizer.start_calibration()
-            with no_grad():
-                for batch in batches:
-                    graph(Tensor(batch))
-            thresholds[path] = quantizer.finalize_calibration()
-    else:
-        for _, quantizer in ordered:
-            quantizer.start_calibration()
-        with no_grad():
-            for batch in batches:
-                graph(Tensor(batch))
-        for path, quantizer in ordered:
-            thresholds[path] = quantizer.finalize_calibration()
+    with no_grad():
+        for index, node in enumerate(order):
+            if node.op == OpKind.INPUT:
+                outputs[node.name] = batches
+                continue
+            per_batch = list(zip(*(outputs[name] for name in node.inputs)))
+            for module in (node.module.modules() if node.module is not None else ()):
+                if isinstance(module, ActivationQuantizer) and module.mode != "bypass":
+                    module.start_calibration()
+                    for args in per_batch:
+                        graph._execute(node, args)
+                    thresholds[paths[id(module)]] = module.finalize_calibration()
+            if node.name in last_use:
+                outputs[node.name] = [graph._execute(node, args) for args in per_batch]
+            for name in set(node.inputs):
+                if last_use[name] == index:
+                    del outputs[name]
     graph.train()
     return thresholds
 
@@ -127,6 +103,8 @@ def quantize_static(graph: GraphIR, calibration_batches: Iterable[np.ndarray],
 
     The input graph should be the FP32 graph *after* the optimization passes
     (:func:`repro.graph.transforms.run_default_optimizations`).
+    ``sequential`` is ignored (calibration is always layer by layer); it is
+    deleted by the benchmark PR, ROADMAP 2(a).
     """
     target = clone_graph(graph) if copy else graph
     scheme = QuantScheme(
@@ -137,7 +115,7 @@ def quantize_static(graph: GraphIR, calibration_batches: Iterable[np.ndarray],
         activation_init="kl-j",
     )
     report = quantize_graph(target, scheme)
-    thresholds = calibrate_activations(target, calibration_batches, sequential=sequential)
+    thresholds = calibrate_activations(target, calibration_batches)
     return QuantizedModel(graph=target, scheme=scheme, mode="static",
                           report=report, calibration_thresholds=thresholds)
 
@@ -145,8 +123,7 @@ def quantize_static(graph: GraphIR, calibration_batches: Iterable[np.ndarray],
 def prepare_retrain(graph: GraphIR, calibration_batches: Iterable[np.ndarray],
                     mode: RetrainMode = "wt,th",
                     precision: LayerPrecision | None = None,
-                    method: str = "tqt", sequential: bool = True,
-                    copy: bool = True) -> QuantizedModel:
+                    method: str = "tqt", copy: bool = True) -> QuantizedModel:
     """Build a quantized training graph for wt-only or wt+th (TQT) retraining.
 
     Threshold initialization follows Table 2: weights use MAX for wt-only
@@ -164,6 +141,6 @@ def prepare_retrain(graph: GraphIR, calibration_batches: Iterable[np.ndarray],
         activation_init="kl-j",
     )
     report = quantize_graph(target, scheme)
-    thresholds = calibrate_activations(target, calibration_batches, sequential=sequential)
+    thresholds = calibrate_activations(target, calibration_batches)
     return QuantizedModel(graph=target, scheme=scheme, mode=mode,
                           report=report, calibration_thresholds=thresholds)

@@ -194,7 +194,7 @@ def split_parameters(graph: GraphIR) -> tuple[list[Parameter], list[Parameter]]:
     """Split graph parameters into ``(weights, thresholds)``.
 
     Threshold parameters are the learnable quantizer parameters (``log2_t``
-    for TQT, ``min/max`` for FakeQuant, step size for LSQ); everything else
+    for TQT, ``min/max`` for FakeQuant); everything else
     (convolution weights, biases, batch-norm affine parameters) belongs to
     the weight group.  The trainer gives the two groups the different
     learning rates / schedules of Section 5.2.
@@ -207,10 +207,6 @@ def split_parameters(graph: GraphIR) -> tuple[list[Parameter], list[Parameter]]:
             param_names = ("log2_t",)
         elif module.__class__.__name__ == "FakeQuantizer":
             param_names = ("min_val", "max_val")
-        elif module.__class__.__name__ == "LSQQuantizer":
-            param_names = ("step_size",)
-        elif module.__class__.__name__ == "PACTQuantizer":
-            param_names = ("alpha",)
         for attr in param_names:
             param = getattr(module, attr)
             if id(param) not in threshold_ids:

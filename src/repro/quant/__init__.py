@@ -3,8 +3,6 @@
 from .config import QuantConfig, LayerPrecision, INT8_PRECISION, INT4_PRECISION
 from .tqt import TQTQuantizer, tqt_quantize, tqt_quantize_unfused, compute_scale
 from .fake_quant import FakeQuantizer, fake_quantize, nudge_zero_point
-from .pact import PACTQuantizer, pact_quantize
-from .lsq import LSQQuantizer, lsq_quantize
 from .calibration import (
     calibrate,
     max_calibration,
@@ -51,10 +49,6 @@ __all__ = [
     "FakeQuantizer",
     "fake_quantize",
     "nudge_zero_point",
-    "PACTQuantizer",
-    "pact_quantize",
-    "LSQQuantizer",
-    "lsq_quantize",
     "calibrate",
     "max_calibration",
     "std_calibration",

@@ -137,13 +137,8 @@ class FakeQuantizer(Module):
     def initialize_from(self, threshold) -> None:
         """Initialize from a symmetric threshold estimate (calibration result)."""
         threshold = np.asarray(threshold, dtype=np.float64)
-        if self.config.symmetric:
-            self.min_val.data[...] = -threshold
-            self.max_val.data[...] = threshold
-        else:
-            # Asymmetric calibration callers pass (min, max) tuples instead.
-            self.min_val.data[...] = -threshold
-            self.max_val.data[...] = threshold
+        self.min_val.data[...] = -threshold
+        self.max_val.data[...] = threshold
         self.calibrated = True
 
     def initialize_min_max(self, min_val, max_val) -> None:

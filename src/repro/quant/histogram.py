@@ -64,31 +64,38 @@ class TensorHistogram:
         self.total += values.size
 
     def _grow(self, new_max: float) -> None:
-        """Expand the histogram range to ``new_max`` by proportional rebinning."""
+        """Expand the histogram range to ``new_max`` by proportional rebinning.
+
+        Every non-empty old bin whose range falls in one new bin moves there
+        whole; one that straddles several new bins is split in proportion to
+        the overlap.  Contributions accumulate old bin by old bin, then new
+        bin by new bin, so the float sums are reproducible.
+        """
         if self.max_value == 0.0:
             self.max_value = new_max
             return
         old_edges = np.linspace(0.0, self.max_value, self.num_bins + 1)
         new_edges = np.linspace(0.0, new_max, self.num_bins + 1)
-        new_counts = np.zeros_like(self.counts)
         old_width = old_edges[1] - old_edges[0]
-        for i, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            lo, hi = old_edges[i], old_edges[i + 1]
-            first = np.searchsorted(new_edges, lo, side="right") - 1
-            last = np.searchsorted(new_edges, hi, side="left") - 1
-            first = max(first, 0)
-            last = min(max(last, first), self.num_bins - 1)
-            if first == last:
-                new_counts[first] += count
-            else:
-                # Split proportionally to bin overlap.
-                for j in range(first, last + 1):
-                    seg_lo = max(lo, new_edges[j])
-                    seg_hi = min(hi, new_edges[j + 1])
-                    overlap = max(seg_hi - seg_lo, 0.0)
-                    new_counts[j] += count * overlap / old_width
+        # The counts outlive this call, so they are allocated before the
+        # temporaries below.  Allocated after them, they left a heap layout in
+        # which malloc trimmed and regrew the heap on every later training
+        # step (thousands of page faults per step on the retrain workload).
+        new_counts = np.zeros_like(self.counts)
+        occupied = np.flatnonzero(self.counts)
+        count = self.counts[occupied]
+        lo, hi = old_edges[occupied], old_edges[occupied + 1]
+        first = np.maximum(np.searchsorted(new_edges, lo, side="right") - 1, 0)
+        last = np.minimum(np.maximum(np.searchsorted(new_edges, hi, side="left") - 1, first),
+                          self.num_bins - 1)
+        # One (old bin, new bin) pair per overlap, old-bin-major.
+        spans = np.maximum(last - first + 1, 0)
+        row = np.repeat(np.arange(occupied.size), spans)
+        col = first[row] + np.arange(row.size) - np.repeat(np.cumsum(spans) - spans, spans)
+        overlap = np.maximum(np.minimum(hi[row], new_edges[col + 1])
+                             - np.maximum(lo[row], new_edges[col]), 0.0)
+        share = np.where((first == last)[row], count[row], count[row] * overlap / old_width)
+        np.add.at(new_counts, col, share)
         self.counts = new_counts
         self.max_value = new_max
 

@@ -30,7 +30,6 @@ from .calibration import calibrate, kl_j_calibration
 from .config import LayerPrecision, QuantConfig
 from .fake_quant import FakeQuantizer
 from .histogram import TensorHistogram
-from .lsq import LSQQuantizer
 from .tqt import TQTQuantizer
 
 __all__ = [
@@ -53,8 +52,7 @@ class QuantScheme:
 
     Attributes
     ----------
-    method: ``"tqt"`` (paper), ``"fake_quant"`` (clipped-gradient baseline)
-        or ``"lsq"``.
+    method: ``"tqt"`` (paper) or ``"fake_quant"`` (clipped-gradient baseline).
     precision: per-layer bit-widths (:class:`LayerPrecision`).
     power_of_2 / symmetric / per_channel_weights: quantizer constraints; the
         TQT configuration is (True, True, False).
@@ -91,10 +89,6 @@ class QuantScheme:
                                  power_of_2=False, per_channel=channel_count is not None)
             return FakeQuantizer(config, channel_count=channel_count,
                                  trainable=trainable, name=name)
-        if self.method == "lsq":
-            config = QuantConfig(bits=bits, signed=signed, symmetric=True,
-                                 power_of_2=False)
-            return LSQQuantizer(config, trainable=trainable, name=name)
         raise ValueError(f"unknown quantization method {self.method!r}")
 
     def make_weight_quantizer(self, out_channels: int, bits: int | None = None,
@@ -171,8 +165,6 @@ class ActivationQuantizer(Module):
                 low = min(self.histogram.observed_min, 0.0)
                 high = max(self.histogram.observed_max, 0.0)
                 self.impl.initialize_min_max(low, high)
-        elif isinstance(self.impl, LSQQuantizer):
-            self.impl.step_size.data[...] = threshold / max(self.impl.config.qmax, 1)
 
     def set_mode(self, mode: Literal["collect", "quantize", "bypass"]) -> None:
         self.mode = mode
@@ -193,6 +185,28 @@ class ActivationQuantizer(Module):
 
     def extra_repr(self) -> str:
         return f"mode={self.mode}, init={self.init_method}"
+
+
+def _initialize_weight_and_bias(layer: Module, wrapped: Conv2d | Linear) -> None:
+    """Initialize a compute layer's weight/bias thresholds from the parameter
+    values (Table 2): one threshold per output channel for a per-channel
+    weight quantizer, MAX for the bias."""
+    quantizer, weights = layer.weight_quantizer, wrapped.weight.data
+    if quantizer.channel_axis is not None:
+        per_channel = np.abs(weights).reshape(weights.shape[0], -1).max(axis=1)
+        if isinstance(quantizer, TQTQuantizer):
+            quantizer.initialize_from(per_channel)
+        else:
+            quantizer.initialize_min_max(-per_channel, per_channel)
+    elif isinstance(quantizer, TQTQuantizer):
+        method = layer.scheme.weight_init if layer.scheme.train_thresholds else "max"
+        quantizer.initialize_from(calibrate(weights, method))
+    elif quantizer.config.symmetric:
+        quantizer.initialize_from(calibrate(weights, "max"))
+    else:
+        quantizer.initialize_min_max(weights.min(), weights.max())
+    if layer.bias_quantizer is not None:
+        layer.bias_quantizer.initialize_from(calibrate(wrapped.bias.data, "max"))
 
 
 class QuantizedConv2d(Module):
@@ -235,28 +249,7 @@ class QuantizedConv2d(Module):
     # ------------------------------------------------------------------ #
     def calibrate_parameters(self) -> None:
         """Initialize weight/bias thresholds from the parameter values (Table 2)."""
-        weights = self.conv.weight.data
-        method = self.scheme.weight_init if self.scheme.train_thresholds else "max"
-        if isinstance(self.weight_quantizer, TQTQuantizer):
-            if self.weight_quantizer.channel_axis is not None:
-                per_channel = np.abs(weights).reshape(weights.shape[0], -1).max(axis=1)
-                self.weight_quantizer.initialize_from(per_channel)
-            else:
-                self.weight_quantizer.initialize_from(calibrate(weights, method))
-        elif isinstance(self.weight_quantizer, FakeQuantizer):
-            if self.weight_quantizer.channel_axis is not None:
-                per_channel = np.abs(weights).reshape(weights.shape[0], -1).max(axis=1)
-                self.weight_quantizer.initialize_min_max(-per_channel, per_channel)
-            else:
-                flat = weights.ravel()
-                if self.weight_quantizer.config.symmetric:
-                    self.weight_quantizer.initialize_from(calibrate(flat, "max"))
-                else:
-                    self.weight_quantizer.initialize_min_max(flat.min(), flat.max())
-        elif isinstance(self.weight_quantizer, LSQQuantizer):
-            self.weight_quantizer.initialize_from_tensor(weights)
-        if self.bias_quantizer is not None and isinstance(self.bias_quantizer, TQTQuantizer):
-            self.bias_quantizer.initialize_from(calibrate(self.conv.bias.data, "max"))
+        _initialize_weight_and_bias(self, self.conv)
 
     def quantized_weight(self) -> Tensor:
         return self.weight_quantizer(self.conv.weight)
@@ -310,19 +303,7 @@ class QuantizedLinear(Module):
         self.calibrate_parameters()
 
     def calibrate_parameters(self) -> None:
-        weights = self.linear.weight.data
-        method = self.scheme.weight_init if self.scheme.train_thresholds else "max"
-        if isinstance(self.weight_quantizer, TQTQuantizer):
-            self.weight_quantizer.initialize_from(calibrate(weights, method))
-        elif isinstance(self.weight_quantizer, FakeQuantizer):
-            if self.weight_quantizer.config.symmetric:
-                self.weight_quantizer.initialize_from(calibrate(weights, "max"))
-            else:
-                self.weight_quantizer.initialize_min_max(weights.min(), weights.max())
-        elif isinstance(self.weight_quantizer, LSQQuantizer):
-            self.weight_quantizer.initialize_from_tensor(weights)
-        if self.bias_quantizer is not None and isinstance(self.bias_quantizer, TQTQuantizer):
-            self.bias_quantizer.initialize_from(calibrate(self.linear.bias.data, "max"))
+        _initialize_weight_and_bias(self, self.linear)
 
     def forward(self, x: Tensor) -> Tensor:
         weight = self.weight_quantizer(self.linear.weight)

@@ -262,7 +262,7 @@ def test_compile_accepts_quantized_graph():
     graph.eval()
     calibration = [rng.standard_normal((4, 3, IMAGE_SIZE, IMAGE_SIZE))
                    for _ in range(2)]
-    quantized = quantize_static(graph, calibration, sequential=False, copy=False)
+    quantized = quantize_static(graph, calibration, copy=False)
     deployment = deploy.compile(quantized, replace(SMALL, image_size=IMAGE_SIZE))
     out = deployment.run(calibration[0])
     assert out.codes.shape[0] == BATCH
@@ -270,6 +270,33 @@ def test_compile_accepts_quantized_graph():
     # GraphIR compiles need an explicit image size (no registry default).
     with pytest.raises(ValueError, match="image_size"):
         deploy.compile(quantized, CompileConfig())
+
+
+@pytest.mark.parametrize("model_name", ["resnet_nano", "darknet_nano"])
+def test_compile_deploys_the_thresholds_quantize_static_computes(model_name):
+    """One calibrator: from the same batches, deploy.compile and the tables'
+    quantize_static lock in the same activation thresholds and modes."""
+    from repro.data import SyntheticImageNet, sample_calibration_batches
+    from repro.graph import collect_activation_quantizers, transforms
+    from repro.models.inception import avgpool_channel_hints
+
+    quant = SMALL.quant
+    graph = MODEL_REGISTRY[model_name].build(num_classes=SMALL.num_classes, seed=quant.seed)
+    graph.eval()
+    transforms.run_default_optimizations(graph, channel_hints=avgpool_channel_hints(graph))
+    dataset = SyntheticImageNet(num_classes=SMALL.num_classes, image_size=IMAGE_SIZE,
+                                train_size=quant.calibration_samples,
+                                val_size=quant.calibration_samples, seed=quant.seed)
+    calibration = sample_calibration_batches(dataset, num_samples=quant.calibration_samples,
+                                             batch_size=quant.calibration_batch_size,
+                                             seed=quant.seed)
+    static = quantize_static(graph, calibration)
+
+    def locked_in(g):
+        return {path: (q.mode, float(q.impl.log2_t.data))
+                for path, q in collect_activation_quantizers(g).items()}
+
+    assert locked_in(deploy.compile(model_name, SMALL).graph) == locked_in(static.graph)
 
 
 def test_compile_rejects_unknown_models_and_types():
@@ -328,6 +355,10 @@ def test_benchmark_frozen_surface_contract(lenet_deployment, lenet_artifact):
     server.close()
     assert list(inspect.signature(ProcessFleetBackend).parameters)[:3] == [
         "specs", "artifact_paths", "workers"]
+    # probes.py passes quantize_static(sequential=quant.sequential_calibration);
+    # both names are accepted (and ignored) until the benchmark PR drops them.
+    assert "sequential" in inspect.signature(quantize_static).parameters
+    assert QuantConfig().sequential_calibration is False
 
 
 # ---------------------------------------------------------------------- #

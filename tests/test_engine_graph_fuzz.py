@@ -8,7 +8,9 @@ leaky-ReLUs and a linear head — and statically quantizes them.  On each
 graph the int64 steps oracle (the reference plan, step-interpreted) must
 equal the optimized tape under every forced kernel variant, every bucket
 tape through ``run_partial``, and the fake-quant simulation
-(``check_engine_parity``).  Hypothesis shrinks a failure to a minimal graph.
+(``check_engine_parity``), and the streaming calibrator must pick the same
+thresholds as the whole-graph reference.  Hypothesis shrinks a failure to a
+minimal graph.
 """
 
 from __future__ import annotations
@@ -17,9 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calibration_reference import whole_graph_thresholds
+
 from repro import nn
 from repro.engine import check_engine_parity, lower_graph, optimize_plan
-from repro.graph import GraphBuilder, OpKind, quantize_static
+from repro.graph import GraphBuilder, OpKind, clone_graph, quantize_graph, quantize_static
 from repro.graph.transforms import run_default_optimizations
 from repro.quant import INT4_PRECISION
 
@@ -117,7 +121,7 @@ def _build(recipe: dict):
 def test_generated_graph_oracle_equals_every_tape_variant_and_bucket(recipe):
     rng = np.random.default_rng(recipe["seed"])
     calibration = [rng.standard_normal(SHAPE) for _ in range(2)]
-    graph = quantize_static(_build(recipe), calibration, sequential=False, copy=False,
+    graph = quantize_static(_build(recipe), calibration, copy=False,
                             precision=INT4_PRECISION if recipe["int4_weights"] else None).graph
     reference = lower_graph(graph)
     oracle = reference.bind(SHAPE, accumulate="int", mode="steps")
@@ -138,3 +142,15 @@ def test_generated_graph_oracle_equals_every_tape_variant_and_bucket(recipe):
             for fill in range(1, BATCH + 1):
                 np.testing.assert_array_equal(engine.run_partial(batch[:fill]).codes,
                                               codes[:fill], err_msg=f"{variant} fill {fill}")
+
+
+@settings(max_examples=20, deadline=None)
+@given(_recipe)
+def test_generated_graph_streaming_calibration_equals_whole_graph_reference(recipe):
+    rng = np.random.default_rng(recipe["seed"])
+    calibration = [rng.standard_normal(SHAPE) for _ in range(2)]
+    graph = _build(recipe)
+    reference = clone_graph(graph)
+    streamed = quantize_static(graph, calibration)
+    quantize_graph(reference, streamed.scheme)
+    assert streamed.calibration_thresholds == whole_graph_thresholds(reference, calibration)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+from calibration_reference import whole_graph_thresholds
 from repro.autograd import Tensor, no_grad
 from repro.graph import (
+    OpKind,
     calibrate_activations,
+    clone_graph,
     collect_activation_quantizers,
     collect_tqt_quantizers,
     prepare_retrain,
@@ -13,8 +16,15 @@ from repro.graph import (
     quantize_static,
 )
 from repro.graph.transforms import run_default_optimizations
-from repro.models import build_model
-from repro.quant import INT4_PRECISION, QuantScheme
+from repro.models import available_models, build_model
+from repro.models.inception import avgpool_channel_hints
+from repro.quant import (
+    INT4_PRECISION,
+    FakeQuantizer,
+    QuantizedConv2d,
+    QuantizedLinear,
+    QuantScheme,
+)
 
 
 @pytest.fixture
@@ -27,22 +37,71 @@ def optimized_lenet(lenet_graph):
 class TestCalibration:
     def test_all_activation_quantizers_calibrated(self, optimized_lenet, calibration_batches):
         quantize_graph(optimized_lenet, QuantScheme(train_thresholds=False))
-        thresholds = calibrate_activations(optimized_lenet, calibration_batches)
         quantizers = collect_activation_quantizers(optimized_lenet)
-        assert set(thresholds) == set(quantizers)
+        active = {path for path, q in quantizers.items() if q.mode != "bypass"}
+        thresholds = calibrate_activations(optimized_lenet, calibration_batches)
+        assert set(thresholds) == active
         assert all(t > 0 for t in thresholds.values())
-        assert all(q.mode == "quantize" for q in quantizers.values())
-
-    def test_single_pass_calibration(self, optimized_lenet, calibration_batches):
-        quantize_graph(optimized_lenet, QuantScheme(train_thresholds=False))
-        thresholds = calibrate_activations(optimized_lenet, calibration_batches,
-                                           sequential=False)
-        assert all(t > 0 for t in thresholds.values())
+        assert all(quantizers[path].mode == "quantize" for path in active)
 
     def test_requires_at_least_one_batch(self, optimized_lenet):
         quantize_graph(optimized_lenet, QuantScheme())
         with pytest.raises(ValueError):
             calibrate_activations(optimized_lenet, [])
+
+
+class TestOneCalibrator:
+    """The streaming calibrator reproduces the whole-graph procedure exactly."""
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_registry_model_matches_whole_graph_reference(self, name):
+        graph = build_model(name, num_classes=4, seed=2)
+        graph.eval()
+        run_default_optimizations(graph, channel_hints=avgpool_channel_hints(graph))
+        rng = np.random.default_rng(7)
+        batches = [rng.standard_normal((4, 3, 8, 8)) for _ in range(2)]
+        reference = clone_graph(graph)
+        streamed = quantize_static(graph, batches)
+        quantize_graph(reference, streamed.scheme)
+        assert streamed.calibration_thresholds == whole_graph_thresholds(reference, batches)
+
+    def test_calibration_keeps_leaky_relu_producers_bypassed(self):
+        """Section 4.3: a compute layer feeding a leaky ReLU has no 8-bit
+        output stage, before or after calibration."""
+        graph = build_model("darknet_nano", num_classes=4, seed=0)
+        graph.eval()
+        run_default_optimizations(graph)
+        rng = np.random.default_rng(0)
+        model = quantize_static(graph, [rng.standard_normal((4, 3, 8, 8))], copy=False)
+        producers = [graph.nodes[name] for node in graph.nodes_of_kind(OpKind.QUANT_LEAKY_RELU)
+                     for name in node.inputs
+                     if graph.nodes[name].op in (OpKind.QUANT_CONV, OpKind.QUANT_LINEAR)]
+        assert len(producers) == model.report.leaky_relu_layers
+        assert all(p.module.output_quantizer.mode == "bypass" for p in producers)
+
+    @pytest.mark.parametrize("per_channel", [True, False])
+    def test_qat_bias_quantizers_cover_their_biases(self, per_channel, calibration_batches):
+        """Table 1's QAT baselines: a FakeQuant bias quantizer is initialized
+        from its (BN-folded) bias, not left at its [-1, 1] default."""
+        graph = build_model("mobilenet_v1_nano", num_classes=4, seed=3)
+        graph.eval()
+        run_default_optimizations(graph)
+        rng = np.random.default_rng(1)
+        for name, param in graph.named_parameters():
+            if name.endswith("bias"):
+                param.data[...] = rng.uniform(-40.0, 40.0, param.data.shape)
+        scheme = QuantScheme(method="fake_quant", power_of_2=False, symmetric=per_channel,
+                             per_channel_weights=per_channel, weight_init="max")
+        quantize_graph(graph, scheme)
+        calibrate_activations(graph, calibration_batches)
+        layers = [m for m in graph.modules() if isinstance(m, (QuantizedConv2d, QuantizedLinear))]
+        biased = [m for m in layers if m.bias_quantizer is not None]
+        assert biased
+        for layer in biased:
+            bias = (layer.conv if isinstance(layer, QuantizedConv2d) else layer.linear).bias.data
+            quantizer = layer.bias_quantizer
+            assert isinstance(quantizer, FakeQuantizer)
+            assert quantizer.min_val.data <= bias.min() and quantizer.max_val.data >= bias.max()
 
 
 class TestStaticMode:

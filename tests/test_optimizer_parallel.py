@@ -110,7 +110,7 @@ def grouped_conv_plan():
     graph = builder.build(x)
     graph.eval()
     calibration = [np.random.default_rng(s).standard_normal(SHAPE) for s in (1, 2)]
-    quantized = quantize_static(graph, calibration, sequential=False, copy=False)
+    quantized = quantize_static(graph, calibration, copy=False)
     return lower_graph(quantized.graph)
 
 

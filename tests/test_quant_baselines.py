@@ -1,4 +1,4 @@
-"""Unit tests for the baseline quantizers: FakeQuant (clipped-grad), PACT, LSQ."""
+"""Unit tests for the baseline quantizer: FakeQuant (clipped-grad)."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,10 @@ import pytest
 from repro.autograd import Tensor
 from repro.quant import (
     FakeQuantizer,
-    LSQQuantizer,
-    PACTQuantizer,
     QuantConfig,
     compute_scale,
     fake_quantize,
-    lsq_quantize,
     nudge_zero_point,
-    pact_quantize,
     tqt_quantize,
 )
 
@@ -120,69 +116,3 @@ class TestFakeQuantizerModule:
         q = FakeQuantizer(QuantConfig(bits=8, symmetric=False, power_of_2=False))
         q.set_trainable(False)
         assert not q.min_val.requires_grad and not q.max_val.requires_grad
-
-
-class TestPACT:
-    def test_forward_clips_to_alpha(self, rng):
-        config = QuantConfig(bits=8, signed=False, power_of_2=False)
-        out = pact_quantize(Tensor(np.array([-1.0, 2.0, 10.0])), Tensor(np.asarray(4.0)), config)
-        assert out.data[0] == 0.0
-        assert out.data[2] == pytest.approx(4.0)
-
-    def test_alpha_gradient_is_indicator(self, rng):
-        """Eq. 1 of the paper: d y / d alpha = 1 for x >= alpha, else 0."""
-        config = QuantConfig(bits=8, signed=False, power_of_2=False)
-        x = Tensor(np.array([1.0, 5.0, 6.0]))
-        alpha = Tensor(np.asarray(4.0), requires_grad=True)
-        pact_quantize(x, alpha, config).sum().backward()
-        assert float(alpha.grad) == pytest.approx(2.0)
-
-    def test_regularization_loss(self):
-        q = PACTQuantizer(QuantConfig(bits=8, signed=False, power_of_2=False),
-                          init_alpha=3.0, alpha_decay=0.1)
-        assert q.regularization_loss().item() == pytest.approx(0.9)
-
-    def test_module_forward(self, rng):
-        q = PACTQuantizer(QuantConfig(bits=4, signed=False, power_of_2=False), init_alpha=6.0)
-        out = q(Tensor(rng.uniform(0, 10, 100)))
-        assert out.data.max() <= 6.0 + 1e-9
-
-
-class TestLSQ:
-    def test_forward_on_grid(self, rng):
-        config = QuantConfig(bits=8, power_of_2=False)
-        out = lsq_quantize(Tensor(rng.standard_normal(100)), Tensor(np.asarray(0.01)), config)
-        codes = out.data / 0.01
-        np.testing.assert_allclose(codes, np.round(codes), atol=1e-9)
-
-    def test_scale_gradient_matches_tqt_shape(self, rng):
-        """LSQ's step-size gradient equals TQT's Eq. 6 (it is the same forward
-        function); only the parameterization differs."""
-        config = QuantConfig(bits=8, power_of_2=False)
-        x_values = rng.standard_normal(100)
-        s = 0.02
-        scale = Tensor(np.asarray(s), requires_grad=True)
-        lsq_quantize(Tensor(x_values), scale, config, grad_scale=1.0).sum().backward()
-        scaled = x_values / s
-        rounded = np.rint(scaled)
-        inside = (rounded >= config.qmin) & (rounded <= config.qmax)
-        expected = np.where(inside, rounded - scaled,
-                            np.where(rounded < config.qmin, config.qmin, config.qmax)).sum()
-        assert float(scale.grad) == pytest.approx(expected, rel=1e-9)
-
-    def test_module_initialization_heuristic(self, rng):
-        q = LSQQuantizer(QuantConfig(bits=8, power_of_2=False))
-        values = rng.standard_normal(1000)
-        q.initialize_from_tensor(values)
-        expected = 2 * np.abs(values).mean() / np.sqrt(127)
-        assert float(q.step_size.data) == pytest.approx(expected)
-
-    def test_grad_scale_reduces_gradient(self, rng):
-        config = QuantConfig(bits=8, power_of_2=False)
-        x = Tensor(rng.standard_normal(100) * 10)
-        grads = []
-        for grad_scale in (1.0, 0.01):
-            scale = Tensor(np.asarray(0.05), requires_grad=True)
-            lsq_quantize(x, scale, config, grad_scale=grad_scale).sum().backward()
-            grads.append(abs(float(scale.grad)))
-        assert grads[1] < grads[0]

@@ -97,7 +97,52 @@ class TestKLJCalibration:
         assert t4 <= t8 * 1.25
 
 
+def _loop_grow(histogram: TensorHistogram, new_max: float) -> None:
+    """Reference rebinning: one old bin at a time, split by overlap."""
+    if histogram.max_value == 0.0:
+        histogram.max_value = new_max
+        return
+    old_edges = np.linspace(0.0, histogram.max_value, histogram.num_bins + 1)
+    new_edges = np.linspace(0.0, new_max, histogram.num_bins + 1)
+    new_counts = np.zeros_like(histogram.counts)
+    old_width = old_edges[1] - old_edges[0]
+    for i, count in enumerate(histogram.counts):
+        if count == 0:
+            continue
+        lo, hi = old_edges[i], old_edges[i + 1]
+        first = max(np.searchsorted(new_edges, lo, side="right") - 1, 0)
+        last = min(max(np.searchsorted(new_edges, hi, side="left") - 1, first),
+                   histogram.num_bins - 1)
+        if first == last:
+            new_counts[first] += count
+            continue
+        for j in range(first, last + 1):
+            overlap = max(min(hi, new_edges[j + 1]) - max(lo, new_edges[j]), 0.0)
+            new_counts[j] += count * overlap / old_width
+    histogram.counts = new_counts
+    histogram.max_value = new_max
+
+
+class _LoopHistogram(TensorHistogram):
+    _grow = _loop_grow
+
+
 class TestTensorHistogram:
+    def test_rebinning_matches_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            bins = int(rng.choice([16, 64, 1024]))
+            vectorized, reference = TensorHistogram(bins), _LoopHistogram(bins)
+            for _ in range(int(rng.integers(2, 8))):
+                scale = float(rng.choice([1e-3, 0.5, 1.0, 3.0, 100.0])) * rng.uniform(0.5, 2.0)
+                values = rng.standard_normal(int(rng.integers(1, 500))) * scale
+                if rng.random() < 0.3:
+                    values = np.round(values, 1)   # piles counts onto shared edges
+                vectorized.update(values)
+                reference.update(values)
+            np.testing.assert_array_equal(vectorized.counts, reference.counts)
+            assert vectorized.max_value == reference.max_value
+
     def test_counts_accumulate(self, rng):
         histogram = TensorHistogram(num_bins=64)
         histogram.update(rng.normal(0, 1, 100))

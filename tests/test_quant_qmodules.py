@@ -9,7 +9,6 @@ from repro.quant import (
     INT4_PRECISION,
     ActivationQuantizer,
     FakeQuantizer,
-    LSQQuantizer,
     QuantScheme,
     QuantizedAdd,
     QuantizedConcat,
@@ -29,10 +28,6 @@ class TestQuantScheme:
     def test_fake_quant_scheme(self):
         scheme = QuantScheme(method="fake_quant", power_of_2=False)
         assert isinstance(scheme.make_quantizer(8, signed=True), FakeQuantizer)
-
-    def test_lsq_scheme(self):
-        scheme = QuantScheme(method="lsq", power_of_2=False)
-        assert isinstance(scheme.make_quantizer(8, signed=True), LSQQuantizer)
 
     def test_unknown_method_raises(self):
         with pytest.raises(ValueError):
@@ -168,10 +163,13 @@ class TestQuantizedLinear:
         out = layer(Tensor(rng.standard_normal((3, 8))))
         assert out.shape == (3, 4)
 
-    def test_lsq_weight_quantizer_initialized(self, rng):
+
+    def test_fake_quant_per_channel_weights_initialized_per_channel(self, rng):
         linear = nn.Linear(8, 4, rng=rng)
-        layer = QuantizedLinear(linear, QuantScheme(method="lsq", power_of_2=False))
-        assert float(layer.weight_quantizer.step_size.data) > 0
+        scheme = QuantScheme(method="fake_quant", power_of_2=False, per_channel_weights=True)
+        layer = QuantizedLinear(linear, scheme)
+        np.testing.assert_array_equal(layer.weight_quantizer.max_val.data,
+                                      np.abs(linear.weight.data).max(axis=1))
 
 
 class TestStructuralQuantizedOps:
