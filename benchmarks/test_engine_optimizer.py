@@ -2,8 +2,8 @@
 
 PR 1's engine beat the per-op fake-quant simulation by lowering to a
 compiled integer plan; this benchmark tracks the *second* act: the plan
-optimizer (GEMM-epilogue fusion, im2col elimination, weight prepacking) and
-the tape executor with its autotuned kernel variants.  For each model the
+optimizer (GEMM-epilogue fusion, im2col elimination, weight packing) and
+the tape executor with the kernels its rule binds.  For each model the
 baseline is the real oracle configuration — the unoptimized plan,
 step-interpreted with int64 accumulation — and the candidate is the default
 deployment; both run the same request stream, bit-exactness between them is
@@ -17,11 +17,20 @@ A second, machine-independent gate checks that a partial batch costs what
 its power-of-two bucket tape costs: at the end-to-end benchmark's operating
 point (32x32, batch 8) ``run_partial`` at fill 1 must take at most
 ``MAX_FILL1_SHARE`` of a full-batch ``run`` on both served models.
+
+A third bench checks the one contested kernel choice: every registry
+depthwise conv, at 8/16/32 px and at every bucket batch, runs both the
+stacked GEMM and the window einsum; the report
+``benchmarks/reports/engine_depthwise_rule.txt`` lists the rule's picks,
+its misses, what each miss costs, and the work bound the sweep itself would
+fit.  Gate: the rule's depthwise total at batch 8 stays within
+``MAX_RULE_LOSS`` of the per-step best.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from pathlib import Path
@@ -30,7 +39,7 @@ import numpy as np
 
 from repro import deploy
 from repro.analysis import format_table
-from repro.engine import check_plan_parity
+from repro.engine import check_plan_parity, program
 
 BENCH_JSON = Path(__file__).parent.parent / "BENCH_optimizer.json"
 
@@ -49,6 +58,13 @@ SERVED_MODELS = ["mobilenet_v1_nano", "resnet_nano"]
 SERVED_IMAGE_SIZE = 32
 FILL_REPEATS = 30
 MAX_FILL1_SHARE = 0.6
+
+#: the registry models with depthwise convs (inception's avg-pools lower to them)
+DEPTHWISE_MODELS = ["mobilenet_v1_nano", "mobilenet_v2_nano", "inception_nano",
+                    "inception_nano_deep"]
+DEPTHWISE_SIZES = (8, 16, 32)
+DEPTHWISE_REPEATS = 15
+MAX_RULE_LOSS = 1.10
 
 CANDIDATE = deploy.CompileConfig(
     image_size=IMAGE_SIZE,
@@ -170,3 +186,97 @@ def test_partial_fill_costs_its_bucket(report_writer):
         assert by_fill[1] <= MAX_FILL1_SHARE, (
             f"{name}: run_partial at fill 1 costs {by_fill[1]:.2f}x a full-batch run "
             f"(required <= {MAX_FILL1_SHARE})")
+
+
+def _depthwise_work(bound) -> int:
+    """The rule's measure: staged elements per image times C."""
+    g = bound.lane.geometry
+    return g.kernel[0] * g.kernel[1] * g.in_channels ** 2 * g.out_height * g.out_width
+
+
+def _step_seconds(engines: dict, name: str) -> dict:
+    """Best-of interleaved wall time of one step's instructions per engine."""
+    runs = {key: [i.run for i in engine.tape.items if i.name == name]
+            for key, engine in engines.items()}
+    best = {key: math.inf for key in runs}
+    for _ in range(DEPTHWISE_REPEATS):
+        for key, calls in runs.items():
+            start = time.perf_counter()
+            for call in calls:
+                call()
+            best[key] = min(best[key], time.perf_counter() - start)
+    return best
+
+
+def test_depthwise_rule_picks_the_faster_kernel(report_writer, monkeypatch):
+    samples = []      # (batch, size, model, step, work, rule, stack s, einsum s)
+    for size in DEPTHWISE_SIZES:
+        config = CANDIDATE.with_overrides(image_size=size)
+        rng = np.random.default_rng(size)
+        for model in DEPTHWISE_MODELS:
+            deployment = deploy.compile(model, config)
+            names = [s.name for s in deployment.plan.steps
+                     if getattr(s, "is_depthwise", False)]
+            for batch in (1, 2, 4, 8):
+                shape = (batch, *deployment.input_shape[1:])
+                images = rng.standard_normal(shape)
+                engines = {}
+                for kernel, bound in (("stack", math.inf), ("einsum", -1)):
+                    monkeypatch.setattr(program, "DEPTHWISE_STACKGEMM_MAX_WORK", bound)
+                    engines[kernel] = deployment.plan.bind(shape)
+                    monkeypatch.undo()
+                ruled = deployment.plan.bind(shape)
+                codes = [e.run(images).codes for e in (*engines.values(), ruled)]
+                assert all(np.array_equal(codes[0], c) for c in codes[1:]), model
+                by_name = {b.step.name: b for b in ruled.steps}
+                for name in names:
+                    seconds = _step_seconds(engines, name)
+                    rule = ("stack" if ruled.tape.choices()[name].startswith("stackgemm")
+                            else "einsum")
+                    samples.append((batch, size, model, name, _depthwise_work(by_name[name]),
+                                    rule, seconds["stack"], seconds["einsum"]))
+
+    def rule_seconds(bound: float, batch: int) -> float:
+        return sum(stack if work <= bound else einsum
+                   for b, _, _, _, work, _, stack, einsum in samples if b == batch)
+
+    rows = []
+    for batch, size, model, name, work, rule, stack, einsum in samples:
+        if batch != BATCH_SIZE:
+            continue
+        picked, best = (stack if rule == "stack" else einsum), min(stack, einsum)
+        rows.append([f"{size}", model, name, f"{work / 1e6:.3f}",
+                     f"{stack * 1e3:.3f}", f"{einsum * 1e3:.3f}", f"{stack / einsum:.2f}",
+                     rule, "miss" if picked > best else "",
+                     f"+{(picked - best) * 1e3:.3f}" if picked > best else ""])
+    summary = []
+    works = sorted({work for *_, work, _, _, _ in samples})
+    for batch in (1, 2, 4, 8):
+        mine = [s for s in samples if s[0] == batch]
+        best_total = sum(min(stack, einsum) for *_, stack, einsum in mine)
+        picked_total = sum(stack if rule == "stack" else einsum
+                           for *_, rule, stack, einsum in mine)
+        misses = [f"{size}px {model}/{name}" for _, size, model, name, _, rule, stack, einsum
+                  in mine if (stack if rule == "stack" else einsum) > min(stack, einsum)]
+        fitted = min([0, *works], key=lambda bound: rule_seconds(bound, batch))
+        summary.append([f"{batch}", f"{len(mine)}", f"{len(misses)}",
+                        f"{picked_total * 1e3:.3f}", f"{best_total * 1e3:.3f}",
+                        f"{picked_total / best_total:.3f}", f"{fitted / 1e6:.3f}",
+                        ", ".join(misses)])
+    report_writer("engine_depthwise_rule", format_table(
+        ["px", "model", "step", "work M", "stack ms", "einsum ms", "stack/einsum",
+         "rule", "", "miss cost ms"], rows,
+        title=f"Depthwise kernel rule vs both kernels — batch {BATCH_SIZE}, best of "
+              f"{DEPTHWISE_REPEATS} interleaved runs per step; work = staged elements "
+              f"per image x C; the rule stacks while work <= "
+              f"{program.DEPTHWISE_STACKGEMM_MAX_WORK / 1e6:.3f} M")
+        + "\n\n" + format_table(
+        ["batch", "steps", "misses", "rule ms", "best ms", "rule/best",
+         "best bound M", "missed steps"], summary,
+        title="Per batch (the bucket tapes run the batch-8 kernels): the rule's "
+              "depthwise total against the per-step best, and the work bound that "
+              "minimizes the rule's total on this sweep"))
+    ratio = float(summary[-1][5])
+    assert ratio <= MAX_RULE_LOSS, (
+        f"the depthwise rule costs {ratio:.3f}x the per-step best at batch "
+        f"{BATCH_SIZE} (allowed {MAX_RULE_LOSS})")

@@ -7,7 +7,8 @@ deployment through the unified API:
 
 1. ``repro.deploy.compile`` — build, statically quantize (TQT power-of-2
    thresholds), lower to an integer plan, run the optimizer pass pipeline
-   and autotune kernel variants, all driven by one typed ``CompileConfig``;
+   and bind each compute step's kernel by rule, all driven by one typed
+   ``CompileConfig``;
 2. inspect the lowered plan: per-step listing plus the manifest rows a
    deployment target cares about (weight codes, shift scales, accumulator
    bounds, int32-MAC fit);
@@ -16,9 +17,8 @@ deployment through the unified API:
    bit-exact parity — and the profile of the tape the deployment runs;
 4. verify the whole network is bit-exact against the fake-quant simulation;
 5. ``deployment.save`` / ``Deployment.load`` — persist the plan artifact
-   (prepacked weights + autotuned kernel choices, content-addressed) and
-   reload it with *zero* re-lowering/re-optimization/re-profiling,
-   bit-exact with the fresh compile;
+   (packed weights, content-addressed) and reload it with *zero*
+   re-lowering/re-optimization, bit-exact with the fresh compile;
 6. serve a request stream through ``deployment.serve(ServeConfig(
    max_wait_s=None))`` — fixed full-batch coalescing on the virtual clock.
 
@@ -81,7 +81,7 @@ def main() -> None:
     baseline = lower_graph(deployment.graph).bind((8, 3, 16, 16), accumulate="int",
                                                   mode="steps")
     print(f"\nOptimizer pass log: {deployment.pass_log}")
-    print(f"Autotuned kernel variants: {deployment.kernel_choices}")
+    print(f"Kernels bound by rule: {deployment.kernel_choices}")
     parity = check_plan_parity(baseline, deployment.engine, batches[:2])
     print(f"Optimized-vs-oracle parity: {parity}")
 
@@ -124,7 +124,7 @@ def main() -> None:
         print(f"\nArtifact {path.name}: {size_kb:.0f} KiB, fingerprint "
               f"{deployment.fingerprint[:12]}…")
         print(f"Reloaded in {load_ms:.0f} ms with pipeline work {delta} "
-              f"(no re-lowering/re-optimization/re-profiling); "
+              f"(no re-lowering/re-optimization); "
               f"bit-exact with the fresh compile: {identical}")
 
     # ------------------------------------------------------------------ #

@@ -119,8 +119,8 @@ def main() -> None:
         delta = PIPELINE_COUNTERS.delta(before)
         print(f"Warm fleet: {warm_stats['disk_hits']} models loaded from disk; "
               f"pipeline work beyond the preloaded deployment's compile: "
-              f"optimizations={delta['optimizations'] - 1}, "
-              f"autotune runs={delta['tape_autotune_runs'] - 1} for "
+              f"lowerings={delta['lowerings'] - 1}, "
+              f"optimizations={delta['optimizations'] - 1} for "
               f"{len(FLEET) - 1} fleet models\n")
 
     # ------------------------------------------------------------------ #

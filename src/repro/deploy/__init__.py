@@ -18,9 +18,8 @@ persistable integer deployment::
 Typed config dataclasses (:class:`CompileConfig`, :class:`QuantConfig`,
 :class:`RuntimeConfig`, :class:`ServeConfig`) replace the kwarg sprawl of
 the legacy entry points; plan artifacts (:mod:`repro.deploy.artifact`)
-persist the lowered plan, prepacked weights, optimizer pass log and
-autotuned kernel choices across processes, content-addressed by a
-graph/quant-parameter hash.
+persist the lowered plan, packed weights and optimizer pass log across
+processes, content-addressed by a graph/quant-parameter hash.
 """
 
 from .artifact import (

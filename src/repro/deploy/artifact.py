@@ -5,10 +5,13 @@ fresh process needs to serve a compiled model *without re-running any stage
 of the compile pipeline*:
 
 * ``plan.pkl`` — the (optimized) execution plan: lowered steps, weight
-  codes, prepacked kernel layouts, and the autotuner's cached kernel choices;
+  codes and packed kernel layouts;
 * ``manifest.json`` — format version, the plan's content fingerprint, the
-  originating :class:`~repro.deploy.CompileConfig`, the optimizer pass log,
-  the kernel-choice table, and a SHA-256 of the payload.
+  originating :class:`~repro.deploy.CompileConfig`, the optimizer pass log
+  and a SHA-256 of the payload.
+
+Kernel choices are not stored: the tape binds them by rule from the plan
+and the input shape, so a load picks what the compile picked.
 
 Two hashes with two jobs:
 
@@ -54,16 +57,16 @@ __all__ = [
 ]
 
 ARTIFACT_FORMAT = "repro-plan-artifact"
-#: Version 3: optimized plans execute only as tapes — the pickled steps carry
-#: window-einsum weight layouts instead of im2col ones and one
-#: ``kernel_choices`` table (the tape autotuner's) instead of two.  Version-1
-#: and version-2 artifacts are migrated by re-lowering from their manifest's
-#: compile config — see :meth:`repro.deploy.Deployment.load`.
-ARTIFACT_VERSION = 3
+#: Version 4: kernels are chosen by rule — no ``kernel_choices`` table, no
+#: tuning switch in the config, and each step pickles only the weight
+#: layouts of the kernel and lane it binds.  Version-1 to version-3 artifacts are
+#: migrated by re-lowering from their manifest's compile config — see
+#: :meth:`repro.deploy.Deployment.load`.
+ARTIFACT_VERSION = 4
 ARTIFACT_SUFFIX = ".rpa"
 
 #: step attributes derived deterministically from other fingerprinted state
-#: (prepacked kernel layouts are recomputed from the weight codes)
+#: (packed kernel layouts are recomputed from the weight codes)
 _DERIVED_STEP_KEYS = frozenset({"packed"})
 
 
@@ -129,10 +132,10 @@ def _feed(h, obj) -> None:
 def plan_fingerprint(plan: ExecutionPlan) -> str:
     """Content hash of a plan: graph identity, step structure, weight codes.
 
-    Tuning state (autotune kernel choices, the optimizer report) is
-    deliberately excluded — two plans that compute the same integer function
-    through the same steps fingerprint identically regardless of which
-    kernel variants they ended up running.
+    The optimizer report and packed weight layouts are deliberately
+    excluded — two plans that compute the same integer function through the
+    same steps fingerprint identically regardless of which kernel layouts
+    their binds have packed.
     """
     h = hashlib.sha256()
     _feed(h, (plan.graph_name, plan.input_name, plan.output_name))
@@ -160,9 +163,8 @@ def save_artifact(path: str | Path, plan: ExecutionPlan, *, model: str,
                   config: CompileConfig | None = None) -> dict:
     """Write a plan artifact; returns the manifest that was stored.
 
-    The plan is serialized as-is — including prepacked weights and any
-    cached autotune choices — so a load skips lowering, optimization and
-    micro-profiling entirely.
+    The plan is serialized as-is — including packed weights — so a load
+    skips lowering and optimization entirely.
     """
     path = Path(path)
     payload = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
@@ -181,8 +183,6 @@ def save_artifact(path: str | Path, plan: ExecutionPlan, *, model: str,
                      if optimized and plan.report is not None else []),
         "optimizer_report": (plan.report.to_dict()
                              if optimized and plan.report is not None else None),
-        "kernel_choices": (dict(plan.kernel_choices)
-                           if optimized and plan.kernel_choices else None),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
         "payload_bytes": len(payload),
         "numpy": np.__version__,

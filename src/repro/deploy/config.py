@@ -14,7 +14,7 @@ dataclasses replace that kwarg sprawl with four nested, validated configs:
   (``CompileConfig(optimize=False)``) only on the step interpreter, so the
   oracle is ``optimize=False`` with ``accumulate="int"`` / ``mode="steps"``.
 * :class:`CompileConfig` — the full compile recipe: model parameters plus
-  the two configs above plus the optimizer/autotune switches.  Its
+  the two configs above plus the optimizer switch.  Its
   :meth:`CompileConfig.to_dict` form is canonical and feeds the
   content-address hash of plan artifacts (:func:`repro.deploy.config_key`).
 * :class:`ServeConfig` — how a deployment is served: batching policy,
@@ -103,8 +103,10 @@ class CompileConfig:
     quant: QuantConfig = field(default_factory=QuantConfig)
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
     optimize: bool = True
-    autotune: bool = True
     model_kwargs: dict = field(default_factory=dict)
+    #: not a field: kernels are chosen by rule.  The frozen ``benchmarks/e2e``
+    #: probe still reads it (ROADMAP 2(c)).
+    autotune = False
 
     def __post_init__(self) -> None:
         if self.num_classes < 1:
@@ -123,7 +125,6 @@ class CompileConfig:
             "quant": self.quant.to_dict(),
             "runtime": self.runtime.to_dict(),
             "optimize": self.optimize,
-            "autotune": self.autotune,
             "model_kwargs": dict(self.model_kwargs),
         }
 
@@ -143,7 +144,6 @@ class CompileConfig:
             quant=QuantConfig(**quant),
             runtime=RuntimeConfig(**runtime),
             optimize=data.get("optimize", True),
-            autotune=data.get("autotune", True),
             model_kwargs=dict(data.get("model_kwargs", {})),
         )
 

@@ -14,10 +14,10 @@ object then exposes the whole serving surface:
 * :meth:`Deployment.profile` — the timing breakdown of the executor the
   engine runs (tape instructions, or plan steps on the oracle);
 * :meth:`Deployment.save` / :meth:`Deployment.load` — persistent plan
-  artifacts.  A loaded deployment binds the deserialized plan (prepacked
-  weights, cached autotune choices) and performs **zero** re-lowering,
-  re-optimization and re-profiling; it is bit-exact with a fresh compile of
-  the same config.
+  artifacts.  A loaded deployment binds the deserialized plan (packed
+  weights included) and performs **zero** re-lowering and re-optimization;
+  the kernel rule binds the same kernels a fresh compile does, and the
+  engine is bit-exact with it.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def compile(model_or_name: str | GraphIR | QuantizedModel,  # noqa: A001 - the A
         model, in_channels, image_size = graph.graph_name, config.in_channels, config.image_size
     plan = lower_graph(graph)
     if config.optimize:
-        plan = optimize_plan(plan, autotune=config.autotune)
+        plan = optimize_plan(plan)
     runtime = config.runtime
     engine = plan.bind((runtime.batch_size, in_channels, image_size, image_size),
                        accumulate=runtime.accumulate, mode=runtime.mode,
@@ -167,9 +167,9 @@ class Deployment:
 
     @property
     def kernel_choices(self) -> dict[str, str] | None:
-        """The tape autotuner's cached decisions riding on the plan (and its
-        artifacts); ``None`` for an unoptimized deployment."""
-        return self.plan.kernel_choices if self.optimized else None
+        """Compute step -> the kernel the rule bound it to in this
+        deployment's tape; ``None`` for an unoptimized deployment."""
+        return self.engine.tape.choices() if self.optimized else None
 
     @property
     def pass_log(self) -> list[str]:
@@ -222,7 +222,7 @@ class Deployment:
 
         A tape-mode deployment (every optimized one) reports its compiled
         instruction program — fused elementwise chains as single
-        instructions, tunable groups under their chosen kernel variant; a
+        instructions, compute steps under the kernel the rule bound; a
         steps-mode deployment (every reference one) reports one row per
         lowered plan step.  ``level`` (``"tape"`` | ``"steps"``) may only
         name that executor; see :meth:`repro.engine.plan.CompiledEngine.profile`.
@@ -301,10 +301,9 @@ class Deployment:
     def save(self, path: str | Path) -> Path:
         """Write this deployment's plan artifact; returns the path.
 
-        The artifact carries the lowered (optimized) plan with prepacked
-        weights, the optimizer pass log, and the autotuned kernel choices,
-        content-addressed by the plan fingerprint.  Loading it skips the
-        whole compile pipeline.
+        The artifact carries the lowered (optimized) plan with packed
+        weights and the optimizer pass log, content-addressed by the plan
+        fingerprint.  Loading it skips the whole compile pipeline.
         """
         path = Path(path)
         save_artifact(path, self.plan, model=self.model,
@@ -316,10 +315,10 @@ class Deployment:
     def load(cls, path: str | Path, migrate: bool = True) -> "Deployment":
         """Rebuild a deployment from an artifact — no recompilation.
 
-        The deserialized plan already carries prepacked weights and the
-        cached autotune choices, so the only work performed is the buffer
-        bind plus the tape compile; lowering, optimizer passes and kernel
-        micro-profiling all stay at zero (observable via
+        The deserialized plan already carries packed weights, so the only
+        work performed is the buffer bind plus the tape compile, whose
+        kernels the rule picks exactly as at compile time; lowering and
+        optimizer passes stay at zero (observable via
         :data:`repro.engine.PIPELINE_COUNTERS`), and the engine is bit-exact
         with a fresh compile of the same config.
 

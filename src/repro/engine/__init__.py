@@ -5,9 +5,9 @@ pure integer kernels — im2col conv / matmul accumulation, bit-shift
 requantization, fused bias + ReLU/ReLU6 — with preallocated buffer reuse.
 One oracle, one executor: the lowered plan, step-interpreted with int64
 accumulation, is the reference; the optimizer pass pipeline (epilogue
-fusion, im2col elimination, weight prepacking) rewrites it into a plan that
+fusion, im2col elimination, weight packing) rewrites it into a plan that
 executes only as a compiled **tape** — a flat instruction program with
-fused elementwise chains whose kernel variants one autotuner arbitrates.
+fused elementwise chains, each compute step in one kernel chosen by rule.
 Around them: megabatch coalescing of partial fills, a profiler
 that reports the executor an engine actually runs, and a bit-exactness
 parity checker against the float fake-quant simulation.

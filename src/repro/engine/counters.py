@@ -1,20 +1,18 @@
 """Pipeline work counters: how many times the expensive stages ran.
 
 The deployment layer's core promise is that a loaded artifact skips the
-compile pipeline entirely — no re-lowering, no optimizer passes, no
-autotune micro-profiling.  That claim is only testable if the pipeline
-stages are observable, so each one ticks a process-global counter here:
+compile pipeline entirely — no re-lowering, no optimizer passes.  That
+claim is only testable if the pipeline stages are observable, so each one
+ticks a process-global counter here:
 
 * ``lowerings`` — :func:`repro.engine.plan.lower_graph` calls;
 * ``optimizations`` — :func:`repro.engine.optimizer.optimize_plan` calls;
 * ``tape_compilations`` — tape-mode ``plan.bind`` calls, each compiling
-  the engine's instruction program (and its bucket tapes, which share it);
-* ``tape_autotune_runs`` — :meth:`repro.engine.program.TapeProgram.autotune`
-  runs, the one autotuner.  A plan whose kernel choices were cached (or
-  loaded from an artifact) compiles its tape without ticking this;
-* ``autotune_runs`` — the removed step-level autotuner's counter.  Nothing
-  ticks it; the key stays because the frozen ``benchmarks/e2e`` probe
-  indexes it, and goes when a benchmark PR drops that read.
+  the engine's instruction program (and its bucket tapes, which share it).
+
+Kernels are chosen by rule, so nothing is timed at compile.  The snapshot
+still carries ``autotune_runs`` and ``tape_autotune_runs``, always 0,
+because the frozen ``benchmarks/e2e`` probe indexes them (ROADMAP 2(c)).
 
 Tests snapshot the counters, perform the operation under scrutiny, and
 assert the delta — see ``tests/test_deploy_api.py``.
@@ -33,16 +31,13 @@ class PipelineCounters:
 
     lowerings: int = 0
     optimizations: int = 0
-    autotune_runs: int = 0
     tape_compilations: int = 0
-    tape_autotune_runs: int = 0
 
     def snapshot(self) -> dict[str, int]:
         """Immutable view for delta assertions."""
         return {"lowerings": self.lowerings, "optimizations": self.optimizations,
-                "autotune_runs": self.autotune_runs,
-                "tape_compilations": self.tape_compilations,
-                "tape_autotune_runs": self.tape_autotune_runs}
+                "autotune_runs": 0, "tape_compilations": self.tape_compilations,
+                "tape_autotune_runs": 0}
 
     def delta(self, since: dict[str, int]) -> dict[str, int]:
         """Work performed since a :meth:`snapshot`."""

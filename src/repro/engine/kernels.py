@@ -52,8 +52,8 @@ EXACT_ACCUMULATOR_LIMIT = 2 ** 53
 INT32_ACCUMULATOR_LIMIT = 2 ** 31
 # float32 integer lanes are exact up to 2^24 — steps whose worst-case
 # accumulator provably stays below this can run in float32 (half the memory
-# traffic, sgemm instead of dgemm) and remain bit-exact.  The optimizer's
-# backend autotuner gates its float32 kernel variants on this bound.
+# traffic, sgemm instead of dgemm) and remain bit-exact.  The optimizer
+# binds a step's float32 lane only when this bound proves it exact.
 FLOAT32_ACCUMULATOR_LIMIT = 2 ** 24
 
 
@@ -359,8 +359,9 @@ def pack_stacked_depthwise_weights(weight_codes: np.ndarray,
     Channel ``c``'s taps land at stacked-K positions ``k*C + c``; all other
     entries are zero, so the dense GEMM accumulates exactly the depthwise sum
     (the zero entries contribute nothing and cannot affect the accumulator
-    bound).  Wasteful in FLOPs but BLAS-fast at nano channel counts — the
-    autotuner arbitrates against the window-view einsum per layer.
+    bound).  Wasteful in FLOPs (C times the depthwise work) but BLAS-fast at
+    nano channel counts; the tape's kernel rule switches to the window-view
+    einsum above a fitted work bound (``repro.engine.program.conv_kernel``).
     """
     c = weight_codes.shape[0]
     kh, kw = weight_codes.shape[2], weight_codes.shape[3]

@@ -4,9 +4,10 @@
 — the step-interpreted oracle — into an :class:`OptimizedPlan` whose compute
 steps are descriptors for the tape executor (:mod:`repro.engine.program`):
 binding one resolves geometry, tail constants, the accumulator-bound and
-float32-exactness proofs, prepacked weights and buffers, and the tape
-compiler emits the kernels.  An optimized plan has no step interpreter; it
-executes only as a tape, in the exact BLAS lanes.  The passes:
+float32-exactness proofs that pick the step's one lane, and its buffers,
+and the tape compiler emits the kernel its rule names.  An optimized plan
+has no step interpreter; it executes only as a tape, in exact BLAS lanes.
+The passes:
 
 1. **Compute-step fusion / GEMM-epilogue fusion** — every conv/matmul step
    is rewritten so the bias add, 16-bit accumulator stage, activation and
@@ -19,15 +20,12 @@ executes only as a tape, in the exact BLAS lanes.  The passes:
    tape's stacked-shift GEMM.  Staging buffers (padded inputs, accumulators,
    cast staging) are shared across steps through the bind context's scratch
    pool, so a deep plan allocates each distinct shape once.
-3. **Weight prepacking** — weight codes are packed into their kernel-ready
-   layout once at optimization time, in both float64 and float32 lanes,
-   instead of on every bind.
-4. **Backend autotuning** — each rewritten step offers the tape several
-   bit-exact kernel variants (float64 lanes always, float32 lanes when the
-   worst-case accumulator provably fits 2^24).  The plan's first bind lets
-   the tape micro-profile them in place and caches the winners in
-   :attr:`OptimizedPlan.kernel_choices`, so later binds and loaded
-   artifacts reuse the decision.
+3. **Weight packing** — a step packs its weight codes into the layout and
+   dtype of the kernel it binds, once (:meth:`_OptimizedStep.packed_weight`),
+   and keeps them, so later binds and loaded artifacts reuse them.
+
+Each compute step binds exactly one lane: float32 when
+:func:`_f32_exact` proves every intermediate fits 2^24, float64 otherwise.
 
 Every pass is semantics-preserving on the integer grid: the optimized plan
 is *bit-exact* against the unoptimized plan (and therefore against the
@@ -42,8 +40,15 @@ from functools import partial
 
 import numpy as np
 
+from ..autograd.conv import conv_output_size
 from .counters import PIPELINE_COUNTERS
-from .kernels import FLOAT32_ACCUMULATOR_LIMIT, ConvGeometry, _normalize_pair
+from .kernels import (
+    FLOAT32_ACCUMULATOR_LIMIT,
+    ConvGeometry,
+    _normalize_pair,
+    pack_stacked_depthwise_weights,
+    pack_stacked_weights,
+)
 from .plan import (
     CompiledEngine,
     ExecutionPlan,
@@ -74,9 +79,7 @@ class OptimizationReport:
     passes: list[str] = field(default_factory=list)
     epilogue_fused: int = 0        # compute steps rewritten with fused epilogues
     pointwise_lowered: int = 0     # 1x1 convs rewritten as direct GEMM
-    depthwise_direct: int = 0      # depthwise convs on the window-view contraction
-    prepacked_steps: int = 0       # steps with bind-ready weight layouts
-    prepacked_bytes: int = 0
+    depthwise_direct: int = 0      # depthwise convs (no im2col; stacked GEMM or einsum)
 
     def to_dict(self) -> dict:
         return {
@@ -84,8 +87,6 @@ class OptimizationReport:
             "epilogue_fused": self.epilogue_fused,
             "pointwise_lowered": self.pointwise_lowered,
             "depthwise_direct": self.depthwise_direct,
-            "prepacked_steps": self.prepacked_steps,
-            "prepacked_bytes": self.prepacked_bytes,
         }
 
 
@@ -364,35 +365,37 @@ def tail_chain(constants: dict, src: np.ndarray, dst: np.ndarray, *,
 # ---------------------------------------------------------------------- #
 @dataclass
 class _Lane:
-    """One exact accumulation lane of a bound optimized compute step.
+    """The one exact accumulation lane of a bound optimized compute step.
 
-    The float64 lane always exists; the float32 lane (half the memory
-    traffic, sgemm instead of dgemm) only when :func:`_f32_exact` proved
-    every intermediate of the step fits 2^24.  A lane holds what its kernels
-    read and write: the prepacked weights, the accumulator buffer, the
-    cast/pad staging and the tail constants with the bias staged in the
-    lane's dtype.
+    float32 (half the memory traffic, sgemm instead of dgemm) when
+    :func:`_f32_exact` proved every intermediate of the step fits 2^24,
+    float64 otherwise.  A lane holds what its kernel writes and stages: the
+    accumulator buffer, the cast/pad staging and the tail constants with
+    the bias staged in the lane's dtype.
     """
 
-    weight: np.ndarray
     acc: np.ndarray
     constants: dict
     staging: np.ndarray | None = None       # pointwise / linear cast staging
     geometry: ConvGeometry | None = None    # conv window geometry + padded staging
 
     @property
+    def dtype(self) -> np.dtype:
+        return self.acc.dtype
+
+    @property
     def suffix(self) -> str:
-        """Variant-name suffix of the lane: ``""`` (float64) | ``"32"``."""
-        return "32" if self.acc.dtype == np.float32 else ""
+        """Kernel-name suffix of the lane: ``""`` (float64) | ``"32"``."""
+        return "32" if self.dtype == np.float32 else ""
 
 
 class _BoundKernel(_BoundStep):
-    """A bound optimized compute step: the exact lanes the tape emitters of
-    :mod:`repro.engine.program` choose between.  It has no interpreter."""
+    """A bound optimized compute step: the one exact lane the tape emitters
+    of :mod:`repro.engine.program` run its kernel in.  It has no interpreter."""
 
-    def __init__(self, step, input_slots, output_slot, output, lanes: list[_Lane]) -> None:
+    def __init__(self, step, input_slots, output_slot, output, lane: _Lane) -> None:
         super().__init__(step, input_slots, output_slot, output)
-        self.lanes = lanes
+        self.lane = lane
 
     def run(self, env) -> None:
         raise PlanError(
@@ -444,11 +447,12 @@ def _f32_constants(constants: dict) -> dict:
 # Optimized compute steps
 # ---------------------------------------------------------------------- #
 class _OptimizedStep(_ComputeStep):
-    """Constructor, prepack and bind skeleton shared by the optimized steps.
+    """Constructor, weight packing and bind skeleton shared by the
+    optimized steps.
 
     A subclass names the shape fields it keeps from the reference step it
     rewrites, the weight layout its kernels read, and — in ``bind`` — the
-    accumulator and staging buffers of one lane; :meth:`_bind_lanes` does
+    accumulator and staging buffers of its lane; :meth:`_bind_lane` does
     the rest in the same order for all three.
     """
 
@@ -464,47 +468,59 @@ class _OptimizedStep(_ComputeStep):
                          output=src.output_stage)
         for name in self._SHAPE_FIELDS:
             setattr(self, name, getattr(src, name))
-        self.packed: dict[str, np.ndarray] = {}
+        #: (layout, dtype) -> weight codes packed for a kernel, filled by the
+        #: binds that need them and pickled with the plan
+        self.packed: dict[tuple, np.ndarray] = {}
 
     def _weight_layout(self) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def prepack(self) -> int:
-        """Stage the weight codes in kernel layout, once per lane dtype."""
-        layout = self._weight_layout()
-        self.packed = {"f64": np.ascontiguousarray(layout, dtype=np.float64),
-                       "f32": np.ascontiguousarray(layout, dtype=np.float32)}
-        return sum(w.nbytes for w in self.packed.values())
+    def _stacked_layout(self, dtype) -> np.ndarray:  # pragma: no cover - convs only
+        raise NotImplementedError
 
-    def _bind_lanes(self, x, ctx, out_shape: tuple, k_per_output: int,
-                    bias_shape: tuple, lane):
-        """Tail constants, bias reshape, output buffer, float64 lane and —
-        when :func:`_f32_exact` proves it — float32 lane.  ``lane(dtype,
-        out)`` returns the lane's ``acc`` / ``staging`` / ``geometry``."""
+    def packed_weight(self, dtype, stacked: bool = False) -> np.ndarray:
+        """The weight codes in a kernel's layout and dtype, packed once.
+
+        The default layout is the one the GEMMs and window einsums read;
+        ``stacked`` is the stacked-shift GEMM's (convolutions only).
+        """
+        key = ("stacked" if stacked else "gemm", np.dtype(dtype).str)
+        if key not in self.packed:
+            self.packed[key] = (self._stacked_layout(dtype) if stacked else
+                                np.ascontiguousarray(self._weight_layout(), dtype=dtype))
+        return self.packed[key]
+
+    def _bind_lane(self, x, ctx, out_shape: tuple, k_per_output: int,
+                   bias_shape: tuple, lane):
+        """Tail constants, bias reshape, output buffer and the one lane:
+        float32 when :func:`_f32_exact` proves it, float64 otherwise.
+        ``lane(dtype, out)`` returns the lane's ``acc`` / ``staging`` /
+        ``geometry``."""
         constants = self._tail_constants(
             x.meta, k_per_output=k_per_output,
             weight_max_abs=int(np.max(np.abs(self.weight_codes), initial=0)))
         if constants["bias_addend"] is not None:
             constants["bias_addend"] = constants["bias_addend"].reshape(bias_shape)
         out = ctx.pool.acquire(out_shape, _out_dtype(constants))
-        lanes = [_Lane(self.packed["f64"], constants=constants, **lane(np.float64, out))]
+        dtype = np.float64
         if _f32_exact(constants, self.accumulator_bound, x.meta.max_abs):
-            lanes.append(_Lane(self.packed["f32"], constants=_f32_constants(constants),
-                               **lane(np.float32, out)))
-        return partial(_BoundKernel, lanes=lanes), out_shape, constants["out_meta"], out
+            dtype, constants = np.float32, _f32_constants(constants)
+        bound_lane = _Lane(constants=constants, **lane(dtype, out))
+        return partial(_BoundKernel, lane=bound_lane), out_shape, constants["out_meta"], out
 
 
 _CONV_FIELDS = ("out_channels", "kernel_size", "stride", "padding", "groups")
 
 
 class _FusedConvStep(_OptimizedStep):
-    """Conv step with prepacked weights and the epilogue fused onto the kernel.
+    """Conv step with packed weights and the epilogue fused onto the kernel.
 
-    Every family contracts the strided window view directly — depthwise
-    against per-channel filters, dense and grouped convolutions against
-    their ``(O, C, KH, KW)`` / ``(G, Og, Cg, KH, KW)`` filter blocks — or
-    runs the tape's stacked-shift GEMM; no im2col column copy, no
-    accumulator→image transpose.
+    Every family either contracts the strided window view directly —
+    depthwise against per-channel filters, dense and grouped convolutions
+    against their ``(O, C, KH, KW)`` / ``(G, Og, Cg, KH, KW)`` filter blocks
+    — or runs the tape's stacked-shift GEMM, as
+    :func:`repro.engine.program.conv_kernel` rules; no im2col column copy,
+    no accumulator→image transpose.
     """
 
     _SHAPE_FIELDS = _CONV_FIELDS
@@ -526,6 +542,10 @@ class _FusedConvStep(_OptimizedStep):
         # filter block.
         return self.weight_codes.reshape(g, o // g, cg, kh, kw)
 
+    def _stacked_layout(self, dtype) -> np.ndarray:
+        pack = pack_stacked_depthwise_weights if self.is_depthwise else pack_stacked_weights
+        return pack(self.weight_codes, dtype)
+
     def describe(self) -> str:
         kind = "depthwise-direct" if self.is_depthwise else "window-gemm"
         return super().describe() + f", fused-epilogue[{kind}]"
@@ -533,21 +553,19 @@ class _FusedConvStep(_OptimizedStep):
     def bind(self, values, ctx):
         (x,) = values
         n, c_in, h, w = x.shape
-
-        def geometry(dtype) -> ConvGeometry:
-            return ConvGeometry.from_module(
-                n, c_in, h, w, self.out_channels, self.kernel_size, self.stride,
-                self.padding, self.groups, dtype=dtype, scratch=ctx.scratch)
-
-        geometry64 = geometry(np.float64)
-        shape = geometry64.output_shape
+        kernel = _normalize_pair(self.kernel_size)
+        shape = (n, self.out_channels) + tuple(
+            conv_output_size(size, k, s, p) for size, k, s, p in
+            zip((h, w), kernel, _normalize_pair(self.stride), _normalize_pair(self.padding)))
 
         def lane(dtype, out):
             return dict(acc=ctx.scratch(("conv_image",), shape, dtype),
-                        geometry=geometry64 if dtype == np.float64 else geometry(dtype))
+                        geometry=ConvGeometry.from_module(
+                            n, c_in, h, w, self.out_channels, kernel, self.stride,
+                            self.padding, self.groups, dtype=dtype, scratch=ctx.scratch))
 
-        k = (c_in // self.groups) * geometry64.kernel[0] * geometry64.kernel[1]
-        return self._bind_lanes(x, ctx, shape, k, (1, -1, 1, 1), lane)
+        k = (c_in // self.groups) * kernel[0] * kernel[1]
+        return self._bind_lane(x, ctx, shape, k, (1, -1, 1, 1), lane)
 
 
 class _PointwiseConvStep(_OptimizedStep):
@@ -590,12 +608,12 @@ class _PointwiseConvStep(_OptimizedStep):
                        if self.subsample is not None or dtype != np.float64 else None)
             return dict(acc=acc, staging=staging)
 
-        return self._bind_lanes(x, ctx, (n, self.out_channels, oh, ow), c_in,
-                                (1, -1, 1), lane)
+        return self._bind_lane(x, ctx, (n, self.out_channels, oh, ow), c_in,
+                               (1, -1, 1), lane)
 
 
 class _FusedLinearStep(_OptimizedStep):
-    """Linear step with prepacked weights and an in-place epilogue."""
+    """Linear step with packed weights and an in-place epilogue."""
 
     _SHAPE_FIELDS = ("out_features", "in_features")
 
@@ -619,7 +637,7 @@ class _FusedLinearStep(_OptimizedStep):
                        else ctx.scratch(("fc_staging",), x.shape, dtype))
             return dict(acc=acc, staging=staging)
 
-        return self._bind_lanes(x, ctx, shape, self.in_features, (1, -1), lane)
+        return self._bind_lane(x, ctx, shape, self.in_features, (1, -1), lane)
 
 
 # ---------------------------------------------------------------------- #
@@ -629,21 +647,31 @@ class _FusedLinearStep(_OptimizedStep):
 class OptimizedPlan(ExecutionPlan):
     """An execution plan rewritten by the optimizer pass pipeline.
 
-    It executes only as a tape in the exact BLAS lanes.  The first bind
-    autotunes the tape's kernel variants (when ``autotune`` is set) and
-    caches the winners in :attr:`kernel_choices`; later binds and loaded
-    artifacts reapply them without profiling.
+    It executes only as a tape in exact BLAS lanes, each compute step in
+    the kernel and lane its rule binds (see :mod:`repro.engine.program`).
     """
 
     report: OptimizationReport | None = None
-    autotune: bool = True
-    kernel_choices: dict[str, str] | None = None
 
     @property
-    def tape_kernel_choices(self) -> dict[str, str] | None:
-        """Read-only alias of :attr:`kernel_choices`, which the frozen
-        ``benchmarks/e2e`` probe still reads under this name."""
+    def kernel_choices(self) -> dict[str, str]:
+        """Compute step -> kernel of the plan's last full-batch bind.
+
+        Derived from the tape; artifacts carry none.  The frozen
+        ``benchmarks/e2e`` probe still reads it here (ROADMAP 2(c)); read
+        ``engine.tape.choices()`` instead.
+        """
+        return dict(self.__dict__.get("_kernels", {}))
+
+    @property
+    def tape_kernel_choices(self) -> dict[str, str]:
+        """Alias of :attr:`kernel_choices` for the frozen ``benchmarks/e2e``
+        probe (ROADMAP 2(c))."""
         return self.kernel_choices
+
+    def __getstate__(self) -> dict:
+        # The rule re-derives the kernels at every bind.
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
 
     def bind(self, input_shape, accumulate: str = "blas", mode: str = "tape",
              fuse: bool = True) -> CompiledEngine:
@@ -655,13 +683,15 @@ class OptimizedPlan(ExecutionPlan):
         engine = self._bind(tuple(int(s) for s in input_shape), "blas", "tape", fuse,
                             _BufferPool())
         PIPELINE_COUNTERS.tape_compilations += 1
+        self._kernels = engine.tape.choices()
         # Bucket engines at every power of two below the batch: the same
-        # steps, prepacked weights and cached kernel choices, bound over
-        # views of the engine's arena (``run_partial`` picks by fill).
+        # steps, packed weights and kernels, bound over views of the
+        # engine's arena (``run_partial`` picks by fill).
         rest, size = engine.input_shape[1:], 1
         while size < engine.batch_size:
             engine._buckets.append(self._bind((size, *rest), "blas", "tape", fuse,
-                                              _BufferPool(donor=engine._pool)))
+                                              _BufferPool(donor=engine._pool),
+                                              kernel_batch=engine.batch_size))
             size *= 2
         return engine
 
@@ -669,8 +699,6 @@ class OptimizedPlan(ExecutionPlan):
         data = super().manifest()
         if self.report is not None:
             data["optimizer"] = self.report.to_dict()
-        if self.kernel_choices is not None:
-            data["kernel_choices"] = dict(self.kernel_choices)
         return data
 
 
@@ -693,23 +721,17 @@ def _rewrite_compute_steps(steps: list, report: OptimizationReport) -> list:
     return out
 
 
-def optimize_plan(plan: ExecutionPlan, *, autotune: bool = True) -> OptimizedPlan:
+def optimize_plan(plan: ExecutionPlan, *, autotune: bool = False) -> OptimizedPlan:
     """Run the optimization pass pipeline over a lowered plan.
 
     Returns a new :class:`OptimizedPlan`; the input plan is left untouched
     (weight code arrays are shared read-only).  Every pass preserves
-    bit-exactness against the unoptimized plan.
+    bit-exactness against the unoptimized plan.  ``autotune`` is accepted
+    and ignored for the frozen ``benchmarks/e2e`` probe (ROADMAP 2(c)).
     """
     PIPELINE_COUNTERS.optimizations += 1
     report = OptimizationReport()
-    report.passes += ["fuse_compute_epilogues", "eliminate_im2col", "prepack_weights"]
+    report.passes += ["fuse_compute_epilogues", "eliminate_im2col"]
     steps = _rewrite_compute_steps(plan.steps, report)
-    for step in steps:
-        if hasattr(step, "prepack"):
-            report.prepacked_bytes += step.prepack()
-            report.prepacked_steps += 1
-    if autotune:
-        report.passes.append("autotune_backends")
     return OptimizedPlan(graph_name=plan.graph_name, input_name=plan.input_name,
-                         output_name=plan.output_name, steps=steps, report=report,
-                         autotune=autotune)
+                         output_name=plan.output_name, steps=steps, report=report)

@@ -898,7 +898,7 @@ class StepTiming:
     op: str                      # plan op, or the instruction kind on a tape
     mean_ms: float
     share: float                 # fraction of the total per-pass time
-    variant: str | None = None   # chosen kernel variant of a tunable tape group
+    variant: str | None = None   # kernel the rule bound to a compute step (tape)
 
 
 @dataclass(frozen=True)
@@ -984,7 +984,8 @@ class ExecutionPlan:
                           _BufferPool())
 
     def _bind(self, input_shape: tuple[int, ...], accumulate: str, mode: str,
-              fuse: bool, pool: _BufferPool) -> "CompiledEngine":
+              fuse: bool, pool: _BufferPool,
+              kernel_batch: int | None = None) -> "CompiledEngine":
         ctx = _BindContext(pool, accumulate)
 
         slots = {self.input_name: 0}
@@ -1036,10 +1037,9 @@ class ExecutionPlan:
                                 output_meta=output_value.meta, slot_count=len(self.steps) + 1,
                                 pool=pool, accumulate=accumulate, mode=mode)
         if mode == "tape":
-            # Compile (and, on an optimized plan's first bind, autotune) the
-            # tape eagerly: serving never pays it mid-stream.
+            # Compile the tape eagerly: serving never pays it mid-stream.
             from .program import compile_tape
-            engine.tape = compile_tape(engine, fuse=fuse)
+            engine.tape = compile_tape(engine, fuse=fuse, kernel_batch=kernel_batch)
         return engine
 
     def profile(self, input_shape: tuple[int, ...], accumulate: str = "blas",
@@ -1184,9 +1184,9 @@ class CompiledEngine:
         """Wall-time breakdown of the executor this engine runs.
 
         A tape-mode engine reports its tape: one row per instruction (fused
-        elementwise chains are single ``chain`` rows), each carrying the
-        kernel variant its tunable group resolved to — what the wall clock
-        really pays per pass.  A steps-mode engine reports one row per plan
+        elementwise chains are single ``chain`` rows), compute steps' rows
+        carrying the kernel the rule bound — what the wall clock really pays
+        per pass.  A steps-mode engine reports one row per plan
         step, executed in plan order on the real environment.  ``level``
         (``"tape"`` | ``"steps"``) may only name the engine's own executor:
         the tape runs optimized plans, the step interpreter reference plans.

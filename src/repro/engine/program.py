@@ -14,13 +14,13 @@ over a preallocated buffer arena:
 * each step's requantize/activation/copy epilogue is compiled by
   :class:`repro.engine.optimizer.ElementwiseChain` into a single composite
   instruction with provably-identity operations eliminated;
-* the compute steps of an optimized plan carry several bit-exact
-  macro-kernel variants — the window-view einsums, the channel-axis and
-  linear GEMMs, and the :class:`~repro.engine.kernels.StackedShiftGeometry`
-  GEMM, each in float64 lanes and, where proven exact, float32 lanes —
-  arbitrated by the one autotuner (:meth:`TapeProgram.autotune`), whose
-  choices are cached on the plan and ride along in plan artifacts, so
-  loaded deployments re-profile nothing.
+* each compute step runs one bit-exact kernel chosen by rule, not by
+  timing (:func:`conv_kernel`): the :class:`~repro.engine.kernels.StackedShiftGeometry`
+  GEMM for dense and small depthwise convs, the window-view einsum for
+  grouped and large depthwise convs, the channel-axis and linear GEMMs for
+  pointwise and linear steps — in the step's one lane, float32 where proven
+  exact and float64 otherwise.  The same plan and shape always compile the
+  same tape, wherever it is compiled.
 
 Each plan has exactly one executor.  The tape is the only executor of an
 optimized plan; the step interpreter is the only executor of the reference
@@ -37,14 +37,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ..graph.ir import OpKind
-from .counters import PIPELINE_COUNTERS
-from .kernels import (
-    StackedShiftGeometry,
-    max_pool_codes,
-    pack_stacked_depthwise_weights,
-    pack_stacked_weights,
-    pointwise_accumulate,
-)
+from .kernels import StackedShiftGeometry, max_pool_codes, pointwise_accumulate
 from .optimizer import (
     ElementwiseChain,
     _FusedConvStep,
@@ -66,14 +59,22 @@ from .plan import (
     _ReshapeStep,
 )
 
-__all__ = ["Instr", "TapeProgram", "compile_tape"]
+__all__ = ["Instr", "TapeProgram", "compile_tape", "conv_kernel"]
 
 _INF = float("inf")
 
-#: stacked-shift staging is KH*KW times the input tensor; skip the variant
-#: when the stack would exceed this many elements (large feature maps are
-#: GEMM-bound anyway, so the variant only matters at small sizes).
+#: stacked-shift staging is KH*KW times the input tensor; no conv stacks
+#: more than this many elements (large feature maps are GEMM-bound anyway,
+#: so the stacked GEMM only pays at small sizes).
 STACKGEMM_MAX_ELEMENTS = 4_000_000
+
+#: the most work per image (staged elements per image x C) a depthwise
+#: conv's dense-embedded stacked GEMM may do; above it the window einsum
+#: runs.  Fitted from the by-path sweep in ``benchmarks/test_engine_optimizer.py``
+#: (``benchmarks/reports/engine_depthwise_rule.txt``): every registry
+#: depthwise conv sits at <= 0.59 M, where the stacked GEMM wins, or at
+#: 2.36 M, where the einsum wins by 1.4-1.6x at batch 8.
+DEPTHWISE_STACKGEMM_MAX_WORK = 1_000_000
 
 
 class Instr:
@@ -104,56 +105,21 @@ def _ops_runner(calls: list[tuple]):
     return run
 
 
-class _TunableGroup:
-    """A tunable macro-kernel slot: variant name -> instruction builder.
-
-    Builders are lazy so unchosen variants never allocate staging buffers;
-    the autotuner materializes all of them once, times them interleaved,
-    keeps the winner and drops the rest.
-    """
-
-    def __init__(self, name: str, op: str, builders: dict, default: str) -> None:
-        self.name = name
-        self.op = op
-        self.builders = builders
-        self.default = default
-        self.chosen = default
-        self._materialized: dict[str, list[Instr]] = {}
-
-    @property
-    def variants(self) -> tuple[str, ...]:
-        return tuple(self.builders)
-
-    def materialize(self, variant: str) -> list[Instr]:
-        if variant not in self._materialized:
-            self._materialized[variant] = self.builders[variant]()
-        return self._materialized[variant]
-
-    def choose(self, variant: str) -> None:
-        if variant not in self.builders:
-            raise ValueError(f"{self.name}: unknown tape variant {variant!r}; "
-                             f"available: {list(self.builders)}")
-        self.chosen = variant
-
-    def instructions(self) -> list[Instr]:
-        return self.materialize(self.chosen)
-
-    def drop_unchosen(self) -> None:
-        self._materialized = {self.chosen: self.materialize(self.chosen)}
-
-
 class TapeProgram:
     """A compiled flat instruction program over a preallocated arena."""
 
     def __init__(self, engine, input_buffer: np.ndarray, output_array: np.ndarray,
-                 items: list, report: dict) -> None:
+                 items: list[Instr], kernels: dict[str, str], report: dict) -> None:
         self._engine = engine
         self.input_buffer = input_buffer
         self.output_array = output_array
+        #: the flat instruction list, in execution order
         self.items = items
+        self._kernels = kernels
         self.report = report
-        self._calls: list = []
-        self._flat: list[Instr] = []
+        self._calls = [instr.run for instr in items]
+        report["instructions"] = len(items)
+        report["kernel_choices"] = dict(kernels)
         #: opt-in per-instruction instrumentation: when set to a callable
         #: ``sink(instr, start_s, end_s)`` (raw ``perf_counter`` stamps),
         #: :meth:`execute` times every instruction through it — see
@@ -161,26 +127,11 @@ class TapeProgram:
         #: keeps the untimed fast loop; the cost of the hook when unset is
         #: one attribute check per batch.
         self.trace_sink = None
-        self.rebuild()
-
-    # ------------------------------------------------------------------ #
-    def rebuild(self) -> None:
-        """Flatten the chosen instructions into the hot-path call list."""
-        flat: list[Instr] = []
-        for item in self.items:
-            if isinstance(item, _TunableGroup):
-                flat.extend(item.instructions())
-            else:
-                flat.append(item)
-        self._flat = flat
-        self._calls = [instr.run for instr in flat]
-        self.report["instructions"] = len(self._calls)
-        self.report["kernel_choices"] = self.choices()
 
     def execute(self) -> None:
         sink = self.trace_sink
         if sink is not None:
-            for instr in self._flat:
+            for instr in self.items:
                 start = time.perf_counter()
                 instr.run()
                 sink(instr, start, time.perf_counter())
@@ -188,51 +139,15 @@ class TapeProgram:
         for fn in self._calls:
             fn()
 
-    # ------------------------------------------------------------------ #
-    @property
-    def tunable_groups(self) -> list[_TunableGroup]:
-        return [item for item in self.items if isinstance(item, _TunableGroup)]
-
     def choices(self) -> dict[str, str]:
-        return {group.name: group.chosen for group in self.tunable_groups}
-
-    def autotune(self, repeats: int = 5) -> dict[str, str]:
-        """Micro-profile every tunable group's variants in place.
-
-        One full pass populates the staging buffers; each group's variants
-        are then timed interleaved (A B C, A B C, ...) with the per-variant
-        minimum taken, so a transient host stall cannot doom one candidate.
-        All variants are bit-exact, so re-running a group never corrupts
-        downstream state.  Losing variants' staging buffers are dropped
-        afterwards.
-        """
-        PIPELINE_COUNTERS.tape_autotune_runs += 1
-        self.execute()
-        for group in self.tunable_groups:
-            if len(group.builders) < 2:
-                group.drop_unchosen()
-                continue
-            instrs = {v: group.materialize(v) for v in group.variants}
-            for seq in instrs.values():          # warm every variant's buffers
-                for instr in seq:
-                    instr.run()
-            elapsed = {v: _INF for v in instrs}
-            for _ in range(repeats):
-                for variant, seq in instrs.items():
-                    start = time.perf_counter()
-                    for instr in seq:
-                        instr.run()
-                    elapsed[variant] = min(elapsed[variant],
-                                           time.perf_counter() - start)
-            group.choose(min(elapsed, key=elapsed.get))
-            group.drop_unchosen()
-        self.rebuild()
-        return self.choices()
+        """Compute step name -> the kernel the rule bound it to (e.g.
+        ``"stackgemm32"``, ``"blas"``)."""
+        return dict(self._kernels)
 
     def profile(self, repeats: int = 5) -> list[tuple[str, str, float]]:
         """Per-instruction mean seconds (step name, kind, seconds)."""
         self.execute()
-        flat = self._flat
+        flat = self.items
         totals = [0.0] * len(flat)
         for _ in range(repeats):
             for i, instr in enumerate(flat):
@@ -247,9 +162,11 @@ class TapeProgram:
 # Emission context
 # ---------------------------------------------------------------------- #
 class _TapeBuild:
-    def __init__(self, fuse: bool, pool) -> None:
+    def __init__(self, fuse: bool, pool, kernel_batch: int) -> None:
         self.fuse = fuse
         self.pool = pool
+        #: the batch the kernel rule sizes stacks by (a bucket's full batch)
+        self.kernel_batch = kernel_batch
         self.arrays: dict[str, np.ndarray] = {}
         self.report = {
             "mode": "fused" if fuse else "unfused",
@@ -258,8 +175,9 @@ class _TapeBuild:
             "chain_ops_recorded": 0,
             "chain_ops_emitted": 0,
             "eliminated": {"scale": 0, "round": 0, "clip": 0, "slid_clips": 0},
-            "tunable_steps": 0,
         }
+        #: compute step name -> the kernel its emitter bound
+        self.kernels: dict[str, str] = {}
 
     def buffer(self, shape, dtype=np.float64, zero_key=None) -> np.ndarray:
         """A private buffer from the engine's arena (see ``_BufferPool``)."""
@@ -438,131 +356,132 @@ def _emit_global_avg_pool(step, bound, ctx: _TapeBuild):
 
 
 # ---------------------------------------------------------------------- #
-# Compute-step emission (tunable macro kernels + fused tails)
+# Compute-step emission: one kernel per step, chosen by rule
 # ---------------------------------------------------------------------- #
+def conv_kernel(step, geometry, batch: int | None = None) -> str:
+    """The kernel the rule binds a conv step to: ``"stackgemm"`` or the
+    window einsum (``"blas"`` for depthwise, ``"wingemm"`` otherwise).
+
+    A dense conv runs the stacked-shift GEMM unless it is grouped or its
+    stack exceeds :data:`STACKGEMM_MAX_ELEMENTS`.  A depthwise conv runs it
+    on dense-embedded ``(C, KH*KW*C)`` weights, which multiplies its work by
+    ``C``, so it does only while that work per image stays within
+    :data:`DEPTHWISE_STACKGEMM_MAX_WORK`; the einsum is also the only
+    depthwise path above the stack cap.  The cap is checked at ``batch``
+    (default: the geometry's own); a bucket tape passes its engine's full
+    batch, so it binds the kernels the full batch does and stages no stack
+    the full batch's arena lacks.
+    """
+    kh, kw = geometry.kernel
+    per_image = kh * kw * geometry.in_channels * geometry.out_height * geometry.out_width
+    einsum = "blas" if step.is_depthwise else "wingemm"
+    if (geometry.batch if batch is None else batch) * per_image > STACKGEMM_MAX_ELEMENTS:
+        return einsum
+    if step.is_depthwise:
+        fits = per_image * geometry.in_channels <= DEPTHWISE_STACKGEMM_MAX_WORK
+        return "stackgemm" if fits else einsum
+    return einsum if step.groups > 1 else "stackgemm"
+
+
 def _tail_instr(step, lane, dst: np.ndarray, ctx: _TapeBuild) -> Instr:
     """The step's fused epilogue: ``lane.acc`` -> requantized codes in ``dst``."""
     calls, _ = tail_chain(lane.constants, lane.acc, dst, fuse=ctx.fuse)
     return Instr(step.name, step.op, "chain", _ops_runner(calls))
 
 
-def _tunable(step, builders: dict, default: str, ctx: _TapeBuild) -> list:
-    ctx.report["tunable_steps"] += 1
-    return [_TunableGroup(step.name, step.op, builders, default)]
-
-
-def _emit_conv(step, bound, ctx: _TapeBuild):
+def _window_einsum(step, bound, ctx: _TapeBuild) -> list[Instr]:
+    """A conv as one einsum over the strided window view of its input."""
     x = ctx.arrays[step.inputs[0]]
-    out = bound.output
-    geometry = bound.lanes[0].geometry
+    lane = bound.lane
+    geometry = lane.geometry
     n, o = geometry.batch, geometry.out_channels
     oh, ow = geometry.out_height, geometry.out_width
     kh, kw = geometry.kernel
     sh, sw = geometry.stride
     g = step.groups
+    # Resolve the stable strided window view without running the staging
+    # fill (the input buffer holds garbage at compile time; filling would
+    # cast NaNs into the float32 staging).
+    instrs: list[Instr] = []
+    padded = geometry._padded
+    if padded is not None:
+        ph, pw = geometry.padding
+        interior = padded[:, :, ph:ph + geometry.height, pw:pw + geometry.width]
+        instrs.append(Instr(step.name, step.op, "pad_fill", partial(np.copyto, interior, x)))
+    operand = sliding_window_view(x if padded is None else padded, (kh, kw),
+                                  axis=(2, 3))[:, :, ::sh, ::sw]
+    target = lane.acc
     if step.is_depthwise:
-        base, spec = "blas", "nchwij,cij->nchw"
+        spec = "nchwij,cij->nchw"
     elif g > 1:
-        base, spec = "wingemm", "ngchwij,gocij->ngohw"
+        spec = "ngchwij,gocij->ngohw"
+        operand = operand.reshape(n, g, geometry.in_channels // g, oh, ow, kh, kw)
+        target = target.reshape(n, g, o // g, oh, ow)
     else:
-        base, spec = "wingemm", "nchwij,ocij->nohw"
+        spec = "nchwij,ocij->nohw"
+    weight = step.packed_weight(lane.dtype)
+    path = np.einsum_path(spec, operand, weight, optimize=True)[0]
+    instrs.append(Instr(step.name, step.op, "einsum" + lane.suffix,
+                        partial(np.einsum, spec, operand, weight, out=target,
+                                optimize=path)))
+    instrs.append(_tail_instr(step, lane, bound.output, ctx))
+    return instrs
 
-    def einsum_variant(lane):
-        def build():
-            # Resolve the stable strided window view without running the
-            # staging fill (the input buffer holds garbage at compile time;
-            # filling would cast NaNs into the f32 staging).
-            instrs: list[Instr] = []
-            padded = lane.geometry._padded
-            if padded is not None:
-                ph, pw = geometry.padding
-                interior = padded[:, :, ph:ph + geometry.height, pw:pw + geometry.width]
-                instrs.append(Instr(step.name, step.op, "pad_fill",
-                                    partial(np.copyto, interior, x)))
-            operand = sliding_window_view(x if padded is None else padded, (kh, kw),
-                                          axis=(2, 3))[:, :, ::sh, ::sw]
-            target = lane.acc
-            if g > 1 and not step.is_depthwise:
-                operand = operand.reshape(n, g, geometry.in_channels // g, oh, ow, kh, kw)
-                target = target.reshape(n, g, o // g, oh, ow)
-            path = np.einsum_path(spec, operand, lane.weight, optimize=True)[0]
-            instrs.append(Instr(step.name, step.op, "einsum" + lane.suffix,
-                                partial(np.einsum, spec, operand, lane.weight,
-                                        out=target, optimize=path)))
-            instrs.append(_tail_instr(step, lane, out, ctx))
-            return instrs
 
-        return build
+def _stacked_gemm(step, bound, ctx: _TapeBuild) -> list[Instr]:
+    """A conv as one batched GEMM over its kernel-offset stack."""
+    x = ctx.arrays[step.inputs[0]]
+    lane = bound.lane
+    geometry = lane.geometry
+    n, o = geometry.batch, geometry.out_channels
+    ssg = StackedShiftGeometry(n, geometry.in_channels, geometry.height, geometry.width,
+                               geometry.kernel, geometry.stride, geometry.padding,
+                               dtype=lane.dtype, alloc=ctx.buffer)
+    dst = bound.output.reshape(n, o, geometry.out_height * geometry.out_width)
+    # The raw accumulator can exceed the float32 range, so the GEMM targets
+    # the output buffer only when both are float64.
+    acc = dst if lane.dtype == dst.dtype == np.float64 else lane.acc.reshape(dst.shape)
+    constants = dict(lane.constants)
+    if constants["bias_addend"] is not None:
+        constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1)
+    calls, _ = tail_chain(constants, acc, dst, fuse=ctx.fuse)
+    return [
+        Instr(step.name, step.op, "stack_fill", partial(ssg.fill, x)),
+        Instr(step.name, step.op, "stack_gemm",
+              partial(np.matmul, step.packed_weight(lane.dtype, stacked=True),
+                      ssg.gemm_view, out=acc)),
+        Instr(step.name, step.op, "chain", _ops_runner(calls)),
+    ]
 
-    def stack_variant(lane):
-        def build():
-            dtype = lane.acc.dtype
-            ssg = StackedShiftGeometry(n, geometry.in_channels, geometry.height,
-                                       geometry.width, geometry.kernel, geometry.stride,
-                                       geometry.padding, dtype=dtype, alloc=ctx.buffer)
-            pack = pack_stacked_depthwise_weights if step.is_depthwise else pack_stacked_weights
-            packed = pack(step.weight_codes, dtype)
-            dst = out.reshape(n, o, oh * ow)
-            # The raw accumulator can exceed the float32 range, so the GEMM
-            # targets the output buffer only when both run in float64 lanes.
-            acc = dst if dtype == out.dtype == np.float64 else ctx.buffer(dst.shape, dtype)
-            constants = dict(lane.constants)
-            if constants["bias_addend"] is not None:
-                constants["bias_addend"] = constants["bias_addend"].reshape(1, -1, 1)
-            calls, _ = tail_chain(constants, acc, dst, fuse=ctx.fuse)
-            return [
-                Instr(step.name, step.op, "stack_fill", partial(ssg.fill, x)),
-                Instr(step.name, step.op, "stack_gemm",
-                      partial(np.matmul, packed, ssg.gemm_view, out=acc)),
-                Instr(step.name, step.op, "chain", _ops_runner(calls)),
-            ]
 
-        return build
-
-    builders = {base + lane.suffix: einsum_variant(lane) for lane in bound.lanes}
-    # Stacked-shift GEMM: ungrouped convs and depthwise (dense-embedded).
-    if ((g == 1 or step.is_depthwise)
-            and n * kh * kw * geometry.in_channels * oh * ow <= STACKGEMM_MAX_ELEMENTS):
-        for lane in bound.lanes:
-            builders["stackgemm" + lane.suffix] = stack_variant(lane)
-    return _tunable(step, builders, "stackgemm" if "stackgemm" in builders else base, ctx)
+def _emit_conv(step, bound, ctx: _TapeBuild):
+    kernel = conv_kernel(step, bound.lane.geometry, ctx.kernel_batch)
+    ctx.kernels[step.name] = kernel + bound.lane.suffix
+    return (_stacked_gemm if kernel == "stackgemm" else _window_einsum)(step, bound, ctx)
 
 
 def _emit_pointwise(step, bound, ctx: _TapeBuild):
     x = ctx.arrays[step.inputs[0]]
-    dst = bound.output.reshape(bound.lanes[0].acc.shape)
-
-    def variant(lane):
-        def build():
-            gemm = partial(pointwise_accumulate, x, lane.weight, lane.acc,
-                           lane.staging, step.subsample)
-            return [Instr(step.name, step.op, "pw_gemm" + lane.suffix, gemm),
-                    _tail_instr(step, lane, dst, ctx)]
-
-        return build
-
-    builders = {"blas" + lane.suffix: variant(lane) for lane in bound.lanes}
-    return _tunable(step, builders, "blas" + bound.lanes[-1].suffix, ctx)
+    lane = bound.lane
+    ctx.kernels[step.name] = "blas" + lane.suffix
+    gemm = partial(pointwise_accumulate, x, step.packed_weight(lane.dtype), lane.acc,
+                   lane.staging, step.subsample)
+    return [Instr(step.name, step.op, "pw_gemm" + lane.suffix, gemm),
+            _tail_instr(step, lane, bound.output.reshape(lane.acc.shape), ctx)]
 
 
 def _emit_linear(step, bound, ctx: _TapeBuild):
     x = ctx.arrays[step.inputs[0]]
-
-    def variant(lane):
-        def build():
-            calls: list[tuple] = []
-            operand = x
-            if lane.staging is not None:
-                calls.append((np.copyto, (lane.staging, x)))
-                operand = lane.staging
-            calls.append((np.matmul, (operand, lane.weight, lane.acc)))
-            return [Instr(step.name, step.op, "fc_gemm" + lane.suffix, _ops_runner(calls)),
-                    _tail_instr(step, lane, bound.output, ctx)]
-
-        return build
-
-    builders = {"blas" + lane.suffix: variant(lane) for lane in bound.lanes}
-    return _tunable(step, builders, "blas" + bound.lanes[-1].suffix, ctx)
+    lane = bound.lane
+    ctx.kernels[step.name] = "blas" + lane.suffix
+    calls: list[tuple] = []
+    operand = x
+    if lane.staging is not None:
+        calls.append((np.copyto, (lane.staging, x)))
+        operand = lane.staging
+    calls.append((np.matmul, (operand, step.packed_weight(lane.dtype), lane.acc)))
+    return [Instr(step.name, step.op, "fc_gemm" + lane.suffix, _ops_runner(calls)),
+            _tail_instr(step, lane, bound.output, ctx)]
 
 
 # ---------------------------------------------------------------------- #
@@ -583,21 +502,23 @@ _EMITTERS = {
 }
 
 
-def compile_tape(engine, fuse: bool = True) -> TapeProgram:
+def compile_tape(engine, fuse: bool = True, kernel_batch: int | None = None) -> TapeProgram:
     """Lower a bound optimized engine into a flat instruction program.
 
     Every step of an optimized plan has an emitter; a step without one (a
-    reference plan's conv/linear step) raises :class:`PlanError`.  The
-    tunable groups are resolved from the plan's cached kernel choices when
-    present (artifact loads re-profile nothing); otherwise the tape
-    autotunes once and caches the choices on the plan.
+    reference plan's conv/linear step) raises :class:`PlanError`.  Each
+    compute step gets the one kernel :func:`conv_kernel` (or, for pointwise
+    and linear steps, the GEMM) names, in its one bound lane — nothing is
+    timed, so the same plan and shape always compile the same tape.
+    ``kernel_batch`` (default: the engine's batch) is the batch the rule
+    sizes stacks by; a bucket passes its full batch's.
     """
     plan = engine.plan
-    ctx = _TapeBuild(fuse, engine._pool)
+    ctx = _TapeBuild(fuse, engine._pool, kernel_batch or engine.batch_size)
     input_buffer = ctx.buffer(engine.input_shape, engine.input_dtype, zero_key=("input",))
     ctx.arrays[plan.input_name] = input_buffer
 
-    items: list = []
+    items: list[Instr] = []
     for step, bound in zip(plan.steps, engine.steps):
         emitter = _EMITTERS.get(type(step))
         if emitter is None:
@@ -606,15 +527,5 @@ def compile_tape(engine, fuse: bool = True) -> TapeProgram:
         items.extend(emitter(step, bound, ctx))
         if step.name not in ctx.arrays:
             ctx.arrays[step.name] = bound.output
-
-    # Cached choices apply before anything materializes, so no group builds
-    # (and allocates for) a default variant it would then drop.
-    choices = plan.kernel_choices or {}
-    for item in items:
-        if isinstance(item, _TunableGroup) and choices.get(item.name) in item.builders:
-            item.choose(choices[item.name])
-    tape = TapeProgram(engine, input_buffer, ctx.arrays[plan.output_name],
-                       items, ctx.report)
-    if tape.tunable_groups and not choices and plan.autotune:
-        plan.kernel_choices = tape.autotune()
-    return tape
+    return TapeProgram(engine, input_buffer, ctx.arrays[plan.output_name], items,
+                       ctx.kernels, ctx.report)

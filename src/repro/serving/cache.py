@@ -12,8 +12,8 @@ The cache optionally gains a **disk tier** (``artifact_dir``): in-memory
 misses first try to load a persistent plan artifact
 (:mod:`repro.deploy.artifact`), content-addressed by the compile config's
 hash via ``key_fn``.  A disk hit rebuilds the engine from the serialized
-plan — prepacked weights and cached autotune choices included — so the
-model comes back *without* re-lowering, re-optimization or re-profiling.
+plan — packed weights included — so the model comes back *without*
+re-lowering or re-optimization, in the kernels the rule binds.
 Compiles triggered by a true miss write their artifact back, so the next
 process starts warm.  Unreadable artifacts (corrupt, stale, wrong version)
 are counted and fall through to a fresh compile — the disk tier can only

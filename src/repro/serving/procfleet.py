@@ -10,8 +10,8 @@ tape interpreters truly concurrently.
 Design points:
 
 * **Engine bootstrap from the disk tier.**  Workers never pickle an engine —
-  they load ``.rpa`` plan artifacts (prepacked weights, cached autotune
-  choices) via :meth:`repro.deploy.Deployment.load`, the same
+  they load ``.rpa`` plan artifacts (packed weights included) via
+  :meth:`repro.deploy.Deployment.load`, the same
   zero-re-lowering path a warm restart takes.  The parent exports
   artifacts from its :class:`~repro.serving.cache.PlanCache` disk tier (or a
   temporary directory when no tier is configured).

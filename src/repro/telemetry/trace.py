@@ -256,11 +256,10 @@ NULL_TRACER = NullTracer()
 def tape_span_args(tape) -> dict[int, dict]:
     """Static per-instruction span metadata for one compiled tape.
 
-    Keyed by ``id(instr)`` over the tape's *current* flat instruction list
-    (rebuild the map after ``rebuild``).  Each entry
-    carries the lowered op, the instruction kind (kernel), the chosen
-    autotune variant for tunable groups, and the producing step's output
-    shape and arena buffer slot when the engine exposes them.
+    Keyed by ``id(instr)`` over the tape's instruction list.  Each entry
+    carries the lowered op, the instruction kind, the kernel the rule bound
+    for compute steps (``variant``), and the producing step's output shape
+    and arena buffer slot when the engine exposes them.
     """
     engine = getattr(tape, "_engine", None)
     step_meta: dict[str, dict] = {}
@@ -276,19 +275,14 @@ def tape_span_args(tape) -> dict[int, dict]:
             if slot is not None:
                 meta["slot"] = int(slot)
             step_meta[step.name] = meta
+    kernels = tape.choices()
     info: dict[int, dict] = {}
-    for item in tape.items:
-        if hasattr(item, "instructions"):      # a tunable macro-kernel group
-            flat = item.instructions()
-            variant = item.chosen
-        else:
-            flat, variant = [item], None
-        for instr in flat:
-            args = {"op": str(instr.op), "kind": instr.kind}
-            if variant is not None:
-                args["variant"] = variant
-            args.update(step_meta.get(instr.name, {}))
-            info[id(instr)] = args
+    for instr in tape.items:
+        args = {"op": str(instr.op), "kind": instr.kind}
+        if instr.name in kernels:
+            args["variant"] = kernels[instr.name]
+        args.update(step_meta.get(instr.name, {}))
+        info[id(instr)] = args
     return info
 
 

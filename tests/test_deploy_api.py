@@ -100,9 +100,11 @@ def test_config_dict_round_trip_and_key():
     config = CompileConfig().with_overrides(image_size=8, batch_size=4, seed=7)
     again = CompileConfig.from_dict(config.to_dict())
     assert again == config
-    # Older artifact manifests stored a since-removed runtime field.
+    # Older artifact manifests stored since-removed fields (a runtime shard
+    # count before v3, the tuning switch before v4); migration parses them.
     stored = config.to_dict()
     stored["runtime"]["workers"] = 2
+    stored["autotune"] = True
     assert CompileConfig.from_dict(stored) == config
     assert config_key("lenet_nano", config) == config_key("lenet_nano", again)
     # The key is a content address: any config or model change moves it.
@@ -117,11 +119,11 @@ def test_config_dict_round_trip_and_key():
 def test_fresh_compile_runs_each_pipeline_stage_once():
     before = PIPELINE_COUNTERS.snapshot()
     deploy.compile("lenet_nano", SMALL)
-    # One lowering, one optimizer run, one tape compile, one autotune — the
-    # tape's; the step-level autotuner (autotune_runs) no longer exists.
+    # One lowering, one optimizer run, one tape compile.  Kernels are chosen
+    # by rule, so neither tuning counter (kept for the e2e probe) moves.
     assert PIPELINE_COUNTERS.delta(before) == {
         "lowerings": 1, "optimizations": 1, "autotune_runs": 0,
-        "tape_compilations": 1, "tape_autotune_runs": 1}
+        "tape_compilations": 1, "tape_autotune_runs": 0}
 
 
 @pytest.mark.parametrize("model_name", sorted(MODEL_REGISTRY))
@@ -134,8 +136,8 @@ def test_artifact_round_trip_is_bit_exact(model_name, tmp_path):
     before = PIPELINE_COUNTERS.snapshot()
     loaded = Deployment.load(path)
     outputs = [loaded.run(batch).codes for batch in batches]
-    # Zero re-lowering, re-optimization and re-profiling on load + run; the
-    # tape recompiles per bind (cheap) but its autotune comes from the cache.
+    # Zero re-lowering and re-optimization on load + run; the tape
+    # recompiles per bind (cheap), its kernels chosen by the same rule.
     assert PIPELINE_COUNTERS.delta(before) == {
         "lowerings": 0, "optimizations": 0, "autotune_runs": 0,
         "tape_compilations": 1, "tape_autotune_runs": 0}
@@ -151,6 +153,7 @@ def test_artifact_round_trip_is_bit_exact(model_name, tmp_path):
 
 
 def test_loaded_artifact_keeps_autotuned_variants(lenet_deployment, lenet_artifact):
+    """A load binds, by rule, the kernels the compile bound."""
     loaded = Deployment.load(lenet_artifact)
     choices = loaded.kernel_choices
     assert choices == lenet_deployment.kernel_choices and choices
@@ -163,7 +166,9 @@ def test_artifact_manifest_contents(lenet_deployment, lenet_artifact):
     assert manifest["format"] == "repro-plan-artifact"
     assert manifest["model"] == "lenet_nano"
     assert manifest["fingerprint"] == lenet_deployment.fingerprint
-    assert manifest["kernel_choices"] == lenet_deployment.kernel_choices
+    # Kernels are chosen by rule at every bind: the artifact stores none.
+    assert "kernel_choices" not in manifest
+    assert "autotune" not in manifest["config"]
     assert manifest["pass_log"] == lenet_deployment.pass_log
     assert manifest["input_shape"] == [BATCH, 3, IMAGE_SIZE, IMAGE_SIZE]
     assert CompileConfig.from_dict(manifest["config"]) == SMALL
@@ -315,7 +320,7 @@ def test_benchmark_frozen_surface_contract(lenet_deployment, lenet_artifact):
     from repro.engine import check_engine_parity, lower_graph, optimize_plan
     from repro.serving import BatchingPolicy, FleetServer, ProcessFleetBackend
 
-    # probes.py indexes all five counter keys; autotune_runs just reads 0.
+    # probes.py indexes all five counter keys; both tuning counters read 0.
     assert set(PIPELINE_COUNTERS.snapshot()) == set(PIPELINE_COUNTERS.delta(
         PIPELINE_COUNTERS.snapshot())) == {
         "lowerings", "optimizations", "autotune_runs", "tape_compilations",
@@ -323,6 +328,8 @@ def test_benchmark_frozen_surface_contract(lenet_deployment, lenet_artifact):
     # Staged compile: plan.bind(shape, accumulate=, mode=, fuse=), then both
     # choice attributes read as dicts (len() and .get()).
     runtime = SMALL.runtime
+    # optimize_plan(autotune=cfg.autotune): accepted and ignored.
+    assert SMALL.autotune is False
     plan = optimize_plan(lower_graph(lenet_deployment.graph), autotune=SMALL.autotune)
     engine = plan.bind(lenet_deployment.input_shape, accumulate=runtime.accumulate,
                        mode=runtime.mode, fuse=runtime.fuse)

@@ -4,16 +4,20 @@ A ``hypothesis`` strategy draws small :class:`~repro.graph.GraphBuilder`
 networks at 8x8 input — convolutions of every family the optimizer rewrites
 (dense with k in {1, 3}, stride in {1, 2}, padding in {0, 1}, bias on or
 off; depthwise; grouped; pointwise), residual adds, concats, max-pools,
-leaky-ReLUs and a linear head — and statically quantizes them.  On each
-graph the int64 steps oracle (the reference plan, step-interpreted) must
-equal the optimized tape under every forced kernel variant, every bucket
-tape through ``run_partial``, and the fake-quant simulation
-(``check_engine_parity``), and the streaming calibrator must pick the same
-thresholds as the whole-graph reference.  Hypothesis shrinks a failure to a
-minimal graph.
+leaky-ReLUs and a linear head — and statically quantizes them with 8- or
+16-bit activations (16 bits leave float32 unproven for most compute steps,
+which then bind their float64 lane).  On each graph the int64 steps oracle (the
+reference plan, step-interpreted) must equal the optimized tape on both
+sides of the kernel rule (as shipped, and with every conv flipped to its
+window einsum), every bucket tape through ``run_partial``, and the
+fake-quant simulation (``check_engine_parity``), and the streaming
+calibrator must pick the same thresholds as the whole-graph reference.
+Hypothesis shrinks a failure to a minimal graph.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,10 +26,10 @@ from hypothesis import strategies as st
 from calibration_reference import whole_graph_thresholds
 
 from repro import nn
-from repro.engine import check_engine_parity, lower_graph, optimize_plan
+from repro.engine import check_engine_parity, lower_graph, optimize_plan, program
 from repro.graph import GraphBuilder, OpKind, clone_graph, quantize_graph, quantize_static
 from repro.graph.transforms import run_default_optimizations
-from repro.quant import INT4_PRECISION
+from repro.quant import LayerPrecision
 
 SIZE = 8
 BATCH = 4
@@ -49,6 +53,7 @@ _recipe = st.fixed_dictionaries({
     "blocks": st.lists(_block, min_size=1, max_size=4),
     "head": st.sampled_from(["flatten", "gap"]),
     "int4_weights": st.booleans(),
+    "activation_bits": st.sampled_from([8, 16]),
     "seed": st.integers(0, 2 ** 16),
 })
 
@@ -121,27 +126,29 @@ def _build(recipe: dict):
 def test_generated_graph_oracle_equals_every_tape_variant_and_bucket(recipe):
     rng = np.random.default_rng(recipe["seed"])
     calibration = [rng.standard_normal(SHAPE) for _ in range(2)]
+    precision = LayerPrecision(weight_bits=4 if recipe["int4_weights"] else 8,
+                               activation_bits=recipe["activation_bits"])
     graph = quantize_static(_build(recipe), calibration, copy=False,
-                            precision=INT4_PRECISION if recipe["int4_weights"] else None).graph
+                            precision=precision).graph
     reference = lower_graph(graph)
     oracle = reference.bind(SHAPE, accumulate="int", mode="steps")
-    optimized = optimize_plan(reference, autotune=False)
+    optimized = optimize_plan(reference)
     batches = [rng.standard_normal(SHAPE) for _ in range(2)]
     expected = [oracle.run(batch).codes for batch in batches]
 
     default = optimized.bind(SHAPE)
     assert check_engine_parity(graph, default, batches).bit_exact
-    offered = {group.name: group.variants for group in default.tape.tunable_groups}
-    for variant in sorted({v for variants in offered.values() for v in variants}):
-        optimized.kernel_choices = {name: variant for name, variants in offered.items()
-                                    if variant in variants}
-        engine = optimized.bind(SHAPE)
+    with mock.patch.object(program, "STACKGEMM_MAX_ELEMENTS", 0):
+        einsums = optimized.bind(SHAPE)
+    assert "stackgemm" not in "".join(einsums.tape.choices().values())
+    for engine in (default, einsums):
+        kernels = engine.tape.choices()
         assert [b.batch_size for b in engine._buckets] == [1, 2]
         for batch, codes in zip(batches, expected):
-            np.testing.assert_array_equal(engine.run(batch).codes, codes, err_msg=variant)
+            np.testing.assert_array_equal(engine.run(batch).codes, codes, err_msg=kernels)
             for fill in range(1, BATCH + 1):
                 np.testing.assert_array_equal(engine.run_partial(batch[:fill]).codes,
-                                              codes[:fill], err_msg=f"{variant} fill {fill}")
+                                              codes[:fill], err_msg=f"{kernels} fill {fill}")
 
 
 @settings(max_examples=20, deadline=None)

@@ -65,7 +65,7 @@ def test_default_deployment_matches_oracle_on_registry_model(model_name):
     engine = deployment.engine
     assert engine.mode == "tape"
     assert isinstance(engine.tape, TapeProgram)
-    assert not any(instr.kind.startswith("legacy") for instr in engine.tape._flat)
+    assert not any(instr.kind.startswith("legacy") for instr in engine.tape.items)
     # Twice in a row: cross-pass state (shared scratch, zero borders, the
     # stacked buffers' zero fringes) must not corrupt later passes.
     for seed in (0, 9):
@@ -98,49 +98,115 @@ def test_steps_mode_engine_compiles_no_tape(mobilenet_oracle):
     assert engine.tape is None
 
 
-def test_tape_choices_are_cached_on_the_plan(mobilenet):
-    choices = mobilenet.plan.kernel_choices
-    assert choices, "first tape compile must cache its kernel choices"
-    from repro.engine import PIPELINE_COUNTERS
+def test_compiles_choose_the_same_kernels_without_timing(mobilenet, monkeypatch):
+    """Kernel choice is a rule: two compiles bind identical kernels, one per
+    compute step, and nothing is timed on the way."""
+    from repro.engine import PIPELINE_COUNTERS, program
+
+    class Clock:
+        reads = 0
+
+        @classmethod
+        def perf_counter(cls):
+            cls.reads += 1
+            return 0.0
+
+    monkeypatch.setattr(program, "time", Clock)
     before = PIPELINE_COUNTERS.snapshot()
+    again = deploy.compile("mobilenet_v1_nano", SMALL)
     rebound = mobilenet.plan.bind(mobilenet.engine.input_shape)
     delta = PIPELINE_COUNTERS.delta(before)
-    assert delta["tape_autotune_runs"] == 0, "rebinds reuse cached choices"
-    assert rebound.tape.choices() == choices
+    assert Clock.reads == 0
+    assert delta["tape_autotune_runs"] == delta["autotune_runs"] == 0
+    choices = mobilenet.kernel_choices
+    assert again.kernel_choices == rebound.tape.choices() == choices
+    assert again.plan.kernel_choices == again.plan.tape_kernel_choices == choices
+    compute = {step.name for step in mobilenet.plan.steps if hasattr(step, "packed_weight")}
+    assert set(choices) == compute and len(compute) == 10
+    for bound in mobilenet.engine.steps:
+        if bound.step.name in compute:
+            assert choices[bound.step.name].endswith(bound.lane.suffix)
 
 
-def test_cached_choices_build_each_group_once(mobilenet, mobilenet_oracle, monkeypatch):
-    """A cached choice is applied before anything materializes: no group
-    builds (and allocates for) a default variant it would then drop."""
+@pytest.mark.parametrize("image_size, einsum_steps", [(8, set()),
+                                                      (32, {"ir1_dw", "ir3_dw"})])
+def test_depthwise_rule_sides_are_bit_exact(image_size, einsum_steps):
+    """Small depthwise convs run the stacked GEMM, large ones the window
+    einsum; both match the int64 oracle on a full batch and every fill."""
+    config = CompileConfig(image_size=image_size,
+                           quant=QuantConfig(calibration_samples=8,
+                                             calibration_batch_size=4),
+                           runtime=RuntimeConfig(batch_size=8))
+    deployment = deploy.compile("mobilenet_v2_nano", config)
+    oracle = deploy.compile("mobilenet_v2_nano", config.with_overrides(
+        optimize=False, accumulate="int", mode="steps"))
+    choices = deployment.kernel_choices
+    depthwise = {step.name: choices[step.name] for step in deployment.plan.steps
+                 if getattr(step, "is_depthwise", False)}
+    assert len(depthwise) == 4
+    assert {name for name, kernel in depthwise.items()
+            if kernel.startswith("blas")} == einsum_steps
+    assert all(kernel.startswith(("blas", "stackgemm")) for kernel in depthwise.values())
+    for bucket in deployment.engine._buckets:
+        assert bucket.tape.choices() == choices
+    images = np.random.default_rng(image_size).standard_normal((8, 3, image_size, image_size))
+    expected = oracle.run(images).codes
+    np.testing.assert_array_equal(deployment.run(images).codes, expected)
+    for fill in range(1, 9):
+        np.testing.assert_array_equal(deployment.run_partial(images[:fill]).codes,
+                                      expected[:fill], err_msg=f"fill {fill}")
+
+
+def test_bucket_tapes_size_the_stack_cap_by_the_full_batch(monkeypatch):
+    """A stack cap between a bucket's and the full batch's stack size sends
+    the full batch to the einsum; its buckets follow it rather than stage
+    stacks the full batch's arena lacks, and every fill stays bit-exact."""
     from repro.engine import program
 
-    groups = mobilenet.engine.tape.tunable_groups
-    # Non-default choices wherever a group has them, so a build-the-default-
-    # then-switch compile would show up as a second build.
-    forced = {g.name: next((v for v in g.variants if v != g.default), g.default)
-              for g in groups}
-    assert any(forced[g.name] != g.default for g in groups)
-    monkeypatch.setattr(mobilenet.plan, "kernel_choices", forced)
-    builds = []
-    materialize = program._TunableGroup.materialize
+    config = CompileConfig(image_size=IMAGE_SIZE,
+                           quant=QuantConfig(calibration_samples=8,
+                                             calibration_batch_size=4),
+                           runtime=RuntimeConfig(batch_size=8))
+    deployment = deploy.compile("resnet_nano", config)
+    oracle = deploy.compile("resnet_nano", config.with_overrides(
+        optimize=False, accumulate="int", mode="steps"))
 
-    def counting(group, variant):
-        if variant not in group._materialized:
-            builds.append((id(group), variant))
-        return materialize(group, variant)
+    def per_image(bound):
+        geometry = bound.lane.geometry
+        kh, kw = geometry.kernel
+        return kh * kw * geometry.in_channels * geometry.out_height * geometry.out_width
 
-    monkeypatch.setattr(program._TunableGroup, "materialize", counting)
-    engine = mobilenet.plan.bind(mobilenet.engine.input_shape)
-    tapes = [engine.tape] + [bucket.tape for bucket in engine._buckets]
-    assert len(builds) == len(set(builds)) == len(tapes) * len(groups)
-    assert {variant for _, variant in builds} <= set(forced.values())
-    for tape in tapes:
-        assert tape.choices() == forced
-    for batch in _batches(2, seed=4):
-        np.testing.assert_array_equal(engine.run(batch).codes,
-                                      mobilenet_oracle.run(batch).codes)
-        np.testing.assert_array_equal(engine.run_partial(batch[:1]).codes,
-                                      mobilenet_oracle.run(batch).codes[:1])
+    stacked = [bound for bound in deployment.engine.steps
+               if deployment.kernel_choices.get(bound.step.name, "").startswith("stackgemm")]
+    largest = max(per_image(bound) for bound in stacked)
+    monkeypatch.setattr(program, "STACKGEMM_MAX_ELEMENTS", 4 * largest)
+    engine = deployment.plan.bind(deployment.engine.input_shape)
+    choices = engine.tape.choices()
+    capped = {bound.step.name for bound in stacked if per_image(bound) == largest}
+    assert all(not choices[name].startswith("stackgemm") for name in capped)
+    assert [bucket.batch_size for bucket in engine._buckets] == [1, 2, 4]
+    for bucket in engine._buckets:
+        assert bucket.tape.choices() == choices
+    images = np.random.default_rng(3).standard_normal(engine.input_shape)
+    expected = oracle.run(images).codes
+    for fill in range(1, 9):
+        np.testing.assert_array_equal(engine.run_partial(images[:fill]).codes,
+                                      expected[:fill], err_msg=f"fill {fill}")
+
+
+def test_a16_activations_bind_only_float64_lanes_bit_exact():
+    """16-bit activations leave float32 unproven: every compute step binds
+    its float64 lane, and the tape stays bit-exact."""
+    from repro.quant import LayerPrecision
+
+    config = SMALL.with_overrides(precision=LayerPrecision(activation_bits=16))
+    deployment = deploy.compile("mobilenet_v1_nano", config)
+    oracle = deploy.compile("mobilenet_v1_nano", config.with_overrides(
+        optimize=False, accumulate="int", mode="steps"))
+    assert deployment.kernel_choices
+    assert not any(kernel.endswith("32") for kernel in deployment.kernel_choices.values())
+    for batch in _batches(2, seed=5):
+        np.testing.assert_array_equal(deployment.run(batch).codes, oracle.run(batch).codes)
 
 
 def test_reference_plan_refuses_the_tape(mobilenet_oracle):
@@ -487,13 +553,12 @@ def test_future_artifact_version_still_raises(tmp_path, monkeypatch):
         Deployment.load(path)
 
 
-def test_artifact_carries_the_one_choice_table(tmp_path, mobilenet):
+def test_artifact_carries_no_choice_table(tmp_path, mobilenet):
     path = tmp_path / "tape.rpa"
     mobilenet.save(path)
     loaded = deploy.Deployment.load(path)
     manifest = loaded.artifact_manifest
-    assert manifest["version"] == deploy.ARTIFACT_VERSION == 3
-    assert manifest["kernel_choices"] == mobilenet.plan.kernel_choices
-    assert "tape_kernel_choices" not in manifest
+    assert manifest["version"] == deploy.ARTIFACT_VERSION == 4
+    assert "kernel_choices" not in manifest and "tape_kernel_choices" not in manifest
     assert loaded.engine.mode == "tape"
-    assert loaded.engine.tape.choices() == mobilenet.plan.kernel_choices
+    assert loaded.engine.tape.choices() == mobilenet.kernel_choices

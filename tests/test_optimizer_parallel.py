@@ -1,7 +1,7 @@
 """Optimizer pass pipeline: bit-exactness of every optimized tape against the
 oracle (the unoptimized plan, step-interpreted with int64 accumulation) and
-the fake-quant simulation, optimized-step introspection, forced kernel
-variants, profiler and autotune caching."""
+the fake-quant simulation, optimized-step introspection, both sides of the
+kernel rule, and the profiler."""
 
 from __future__ import annotations
 
@@ -73,7 +73,7 @@ def test_optimized_plan_bit_exact_on_registry_model(model_name):
 
 def test_optimized_plan_refuses_the_oracle_lanes(mobilenet):
     """Steps mode and int64 accumulation live only on the reference plan."""
-    optimized = optimize_plan(mobilenet.plan, autotune=False)
+    optimized = optimize_plan(mobilenet.plan)
     with pytest.raises(ValueError, match="optimize=False"):
         optimized.bind(SHAPE, mode="steps")
     with pytest.raises(ValueError, match="optimize=False"):
@@ -88,14 +88,15 @@ def test_optimized_plan_refuses_the_oracle_lanes(mobilenet):
         engine.profile(batch, level="steps")
 
 
-@pytest.fixture(scope="module")
-def grouped_conv_plan():
+def _grouped_conv_plan(activation_bits: int) -> ExecutionPlan:
     """A quantized graph with a grouped (non-depthwise) convolution.
 
     The registry has depthwise (groups == channels) and dense (groups == 1)
     convs but no intermediate grouped family, so the grouped ``wingemm``
-    variant gets its own graph: 8 channels in 2 groups of 4.
+    kernel gets its own graph: 8 channels in 2 groups of 4.
     """
+    from repro.quant import LayerPrecision
+
     rng = np.random.default_rng(0)
     builder = GraphBuilder("grouped_conv_test")
     x = builder.input("input")
@@ -110,41 +111,48 @@ def grouped_conv_plan():
     graph = builder.build(x)
     graph.eval()
     calibration = [np.random.default_rng(s).standard_normal(SHAPE) for s in (1, 2)]
-    quantized = quantize_static(graph, calibration, copy=False)
+    quantized = quantize_static(graph, calibration, copy=False,
+                                precision=LayerPrecision(activation_bits=activation_bits))
     return lower_graph(quantized.graph)
 
 
 @pytest.mark.parametrize("source", ["mobilenet_v1_nano", "resnet_nano", "grouped_conv"])
-def test_every_tape_variant_is_bit_exact(source, grouped_conv_plan):
-    """Force each surviving variant on every tunable group offering it."""
-    reference = (grouped_conv_plan if source == "grouped_conv"
-                 else _compile(source, **ORACLE).plan)
-    oracle = _oracle_engine(reference)
-    optimized = optimize_plan(reference, autotune=False)
+def test_every_tape_variant_is_bit_exact(source, monkeypatch):
+    """Every kernel the rule can bind, in both lanes, matches the oracle.
+
+    The rule as shipped binds the stacked GEMM to every ungrouped conv at
+    this size; a zero stack cap flips every conv to its window einsum.
+    16-bit activations leave float32 unproven, so every step binds its
+    float64 lane.
+    """
+    from repro.engine import program
+    from repro.quant import LayerPrecision
+
     batches = _batches(2, seed=9)
-    offered = {group.name: group.variants
-               for group in optimized.bind(SHAPE).tape.tunable_groups}
-    for variant in sorted({v for variants in offered.values() for v in variants}):
-        assert not variant.startswith("legacy") and variant != "int"
-        engine = optimized.bind(SHAPE)
-        for group in engine.tape.tunable_groups:
-            if variant in group.variants:
-                group.choose(variant)
-        engine.tape.rebuild()
-        report = check_plan_parity(oracle, engine, batches)
-        assert report.bit_exact, f"{source}, variant {variant}: {report}"
+    seen: set[str] = set()
+    grouped: set[str] = set()
+    for bits in (8, 16):
+        reference = (_grouped_conv_plan(bits) if source == "grouped_conv" else _compile(
+            source, precision=LayerPrecision(activation_bits=bits), **ORACLE).plan)
+        oracle = _oracle_engine(reference)
+        for cap in (program.STACKGEMM_MAX_ELEMENTS, 0):
+            monkeypatch.setattr(program, "STACKGEMM_MAX_ELEMENTS", cap)
+            engine = optimize_plan(reference).bind(SHAPE)
+            choices = engine.tape.choices()
+            report = check_plan_parity(oracle, engine, batches)
+            assert report.bit_exact, f"{source}, A{bits}, {choices}: {report}"
+            seen |= set(choices.values())
+            if source == "grouped_conv":
+                # Grouped convolutions cannot stack: the window einsum always.
+                grouped.add(choices["gconv"])
+            monkeypatch.undo()
     if source == "grouped_conv":
-        # Grouped convolutions cannot stack; the window einsum is all they have.
-        assert set(offered["gconv"]) == {"wingemm", "wingemm32"}
-        # The autotuner must arbitrate over the grouped variants too.
-        tuned = optimize_plan(reference)
-        engine = tuned.bind(SHAPE)
-        assert "gconv" in tuned.kernel_choices
-        report = check_plan_parity(oracle, engine, batches)
-        assert report.bit_exact, f"autotuned grouped plan: {report}"
+        assert grouped == {"wingemm", "wingemm32"}
+        assert seen >= {"wingemm", "wingemm32", "stackgemm", "stackgemm32",
+                        "blas", "blas32"}
     else:
         assert {"blas", "blas32", "wingemm", "wingemm32", "stackgemm",
-                "stackgemm32"} == {v for variants in offered.values() for v in variants}
+                "stackgemm32"} == seen
 
 
 def test_deploy_compile_defaults_to_optimized(mobilenet):
@@ -152,7 +160,8 @@ def test_deploy_compile_defaults_to_optimized(mobilenet):
     assert isinstance(compiled.plan, OptimizedPlan)
     assert compiled.plan.report.pointwise_lowered == 4
     assert compiled.plan.report.depthwise_direct == 4
-    assert compiled.plan.kernel_choices, "autotune should cache kernel choices"
+    assert compiled.kernel_choices == compiled.engine.tape.choices()
+    assert len(compiled.kernel_choices) == 10, "one kernel per compute step"
     report = check_plan_parity(mobilenet.engine, compiled.engine, _batches(2))
     assert report.bit_exact, str(report)
 
@@ -161,7 +170,7 @@ def test_deploy_compile_defaults_to_optimized(mobilenet):
 # Optimized-step describe() round-trip
 # ---------------------------------------------------------------------- #
 def test_fused_step_describe_round_trip(mobilenet):
-    optimized = optimize_plan(mobilenet.plan, autotune=False)
+    optimized = optimize_plan(mobilenet.plan)
     summary = optimized.summary()
     markers = {"pointwise-gemm[no-im2col]": 0, "fused-epilogue[depthwise-direct]": 0,
                "fused-epilogue[window-gemm]": 0, "fused-epilogue[gemm]": 0}
@@ -188,13 +197,16 @@ def test_fused_step_describe_round_trip(mobilenet):
 
 def test_manifest_reports_optimizer_and_choices(mobilenet):
     optimized = optimize_plan(mobilenet.plan)
-    optimized.bind(SHAPE)
+    engine = optimized.bind(SHAPE)
     manifest = optimized.manifest()
     assert manifest["optimizer"]["pointwise_lowered"] == 4
     assert "eliminate_im2col" in manifest["optimizer"]["passes"]
-    assert manifest["optimizer"]["prepacked_steps"] == 10
-    assert set(manifest["kernel_choices"]) == {
+    # The rule binds one kernel per compute step; the tape reports them and
+    # the manifest, which describes the plan and not a bind, does not.
+    assert "kernel_choices" not in manifest
+    assert set(engine.tape.choices()) == {
         s["name"] for s in manifest["steps"] if "weight_dtype" in s}
+    assert engine.tape.report["kernel_choices"] == engine.tape.choices()
     assert manifest["int32_mac_compatible"]
 
 
@@ -207,11 +219,11 @@ def test_standalone_relu_stays_bit_exact_and_clamps(mobilenet):
     relu = _ActivationOnlyStep("post_relu", OpKind.RELU, [plan.output_name])
     extended = ExecutionPlan(graph_name=plan.graph_name, input_name=plan.input_name,
                              output_name="post_relu", steps=list(plan.steps) + [relu])
-    optimized = optimize_plan(extended, autotune=False)
+    optimized = optimize_plan(extended)
     assert len(optimized.steps) == len(extended.steps)
     assert optimized.output_name == "post_relu"
     engine = optimized.bind(SHAPE)
-    assert [i.kind for i in engine.tape._flat if i.name == "post_relu"] == ["activation"]
+    assert [i.kind for i in engine.tape.items if i.name == "post_relu"] == ["activation"]
     report = check_plan_parity(_oracle_engine(extended), engine, _batches(2))
     assert report.bit_exact, str(report)
     # The step must actually clamp: logits contain negatives pre-ReLU.
@@ -220,17 +232,17 @@ def test_standalone_relu_stays_bit_exact_and_clamps(mobilenet):
 
 
 # ---------------------------------------------------------------------- #
-# Profiler and autotune caching
+# Profiler
 # ---------------------------------------------------------------------- #
 def test_profile_reports_the_executor_the_engine_runs(mobilenet):
     engine = optimize_plan(mobilenet.plan).bind(SHAPE)
     profile = engine.profile(repeats=2)
-    # An optimized engine runs its tape: one row per instruction, tunable
-    # groups under the variant the tape actually chose.
+    # An optimized engine runs its tape: one row per instruction, compute
+    # steps under the kernel the rule bound.
     assert len(profile.steps) == engine.tape.report["instructions"]
     assert profile.total_ms > 0
     assert abs(sum(t.share for t in profile.steps) - 1.0) < 1e-9
-    choices = engine.plan.kernel_choices
+    choices = engine.tape.choices()
     assert {t.name: t.variant for t in profile.steps if t.variant} == choices
     table = profile.table()
     for timing in profile.steps:
@@ -248,12 +260,3 @@ def test_profile_reports_the_executor_the_engine_runs(mobilenet):
 def test_plan_profile_convenience_binds_and_times(mobilenet):
     profile = mobilenet.plan.profile(SHAPE, repeats=1)
     assert profile.total_ms > 0
-
-
-def test_cached_choices_can_be_pinned(mobilenet):
-    optimized = optimize_plan(mobilenet.plan, autotune=False)
-    optimized.kernel_choices = {"dws1_dw": "blas"}
-    engine = optimized.bind(SHAPE)
-    assert engine.tape.choices()["dws1_dw"] == "blas"
-    report = check_plan_parity(mobilenet.engine, engine, _batches(1))
-    assert report.bit_exact, str(report)

@@ -428,8 +428,8 @@ def test_deployment_profile_reports_the_tape_it_runs():
     assert abs(sum(t.share for t in tape.steps) - 1.0) < 1e-9
     # The rows are instructions, not plan steps: they carry instruction
     # kinds (stack_fill / chain / kernel calls) instead of plan ops, fused
-    # elementwise chains show up as single "chain" rows, and tunable groups
-    # name the variant the tape runs.
+    # elementwise chains show up as single "chain" rows, and compute steps
+    # name the kernel the rule bound.
     assert "chain" in {t.op for t in tape.steps}
     assert ({t.name: t.variant for t in tape.steps if t.variant}
             == deployment.kernel_choices)
